@@ -13,11 +13,10 @@
  *
  * Thread safety: none, by ownership. Each PoolResource is owned by one
  * component (a Stash, a Channel, a controller) and only ever touched
- * by the single thread currently advancing that component. SweepRunner
- * parallelism is across sessions; channel-sharded parallel stepping
- * (sim/parallel.hh) is within one session but assigns each Channel —
- * and therefore its PoolResource — to exactly one worker per barrier
- * epoch, so no pool is ever shared between concurrent threads.
+ * by the thread stepping the session that owns that component. A
+ * session is stepped on one thread, and SweepRunner parallelism is
+ * across sessions, so no pool is ever shared between concurrent
+ * threads.
  */
 
 #ifndef PALERMO_COMMON_POOL_HH

@@ -105,7 +105,7 @@ class TimeWeighted
      * Integers up to 2^53 are exact in double, and addition of exact
      * integers is associative, so this is bit-identical to `ticks`
      * per-observation accumulate() calls — the property the batched
-     * parallel-stepping fast path relies on for byte-stable metrics.
+     * quiescent-window fast path relies on for byte-stable metrics.
      */
     void accumulateExact(std::uint64_t integral, std::uint64_t ticks);
 

@@ -4,15 +4,14 @@
  * queues, write-drain hysteresis, write-to-read forwarding, bank timing,
  * tRRD/tFAW activate windows, CAS-to-CAS gating, and all-bank refresh.
  *
- * Thread ownership (channel-sharded parallel stepping): every mutable
- * member of Channel — banks_, both queues, rowWant_, completions_, the
- * bus-event heap, refresh/drain state, stats_, and the PoolResource
- * backing the queue containers — is owned exclusively by this channel.
- * Channels never read or write each other's state, and `rowKey` is the
- * only static (a pure function), so disjoint channels may tick
- * concurrently on different threads within one DramSystem cycle epoch.
- * enqueue()/completions() remain coordinator-only: traffic routing and
- * completion draining happen between epochs on the session thread.
+ * Channel independence: every mutable member of Channel — banks_, both
+ * queues, rowWant_, completions_, the bus-event heap, refresh/drain
+ * state, stats_, and the PoolResource backing the queue containers — is
+ * owned exclusively by this channel, and `rowKey` is the only static (a
+ * pure function). Channels never read or write each other's state, so
+ * over a window with no enqueue and no completion delivery,
+ * DramSystem::tickWindow may advance them one after another instead of
+ * cycle by cycle. Everything runs on the thread stepping the session.
  */
 
 #ifndef PALERMO_MEM_CHANNEL_HH

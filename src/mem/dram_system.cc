@@ -9,56 +9,8 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "sim/parallel.hh"
 
 namespace palermo {
-
-namespace {
-
-/** Stack bound on shards per epoch (keeps dispatch allocation-free). */
-constexpr std::size_t kMaxTickShards = 64;
-
-/**
- * One sharded advancement epoch: each shard owns a contiguous range of
- * channels and steps them through [start, start + cycles) before the
- * pool barrier. Outputs are indexed by shard (dynamic shard-to-thread
- * assignment), and summed in any order the total is exact — every
- * addend is a small integer occupancy.
- */
-struct TickJob
-{
-    std::vector<std::unique_ptr<Channel>> *channels;
-    Tick start;
-    std::uint64_t cycles;
-    unsigned shards;
-    std::uint64_t *sums; ///< Per-shard occupancy integrals (or null).
-
-    /** Contiguous [lo, hi) channel range of one shard. */
-    void
-    range(unsigned shard, std::size_t *lo, std::size_t *hi) const
-    {
-        const std::size_t n = channels->size();
-        const std::size_t base = n / shards;
-        const std::size_t extra = n % shards;
-        *lo = shard * base + std::min<std::size_t>(shard, extra);
-        *hi = *lo + base + (shard < extra ? 1 : 0);
-    }
-
-    static void
-    runShard(void *ctx, unsigned shard)
-    {
-        const TickJob &job = *static_cast<const TickJob *>(ctx);
-        std::size_t lo, hi;
-        job.range(shard, &lo, &hi);
-        std::uint64_t sum = 0;
-        for (std::size_t c = lo; c < hi; ++c)
-            sum += (*job.channels)[c]->tickWindow(job.start, job.cycles);
-        if (job.sums != nullptr)
-            job.sums[shard] = sum;
-    }
-};
-
-} // namespace
 
 double
 DramSnapshot::rowHitRate() const
@@ -114,48 +66,12 @@ DramSystem::tick()
     ++now_;
 }
 
-void
-DramSystem::tickParallel(WorkerPool &pool)
-{
-    // Sharding an all-idle cycle costs more than the idle ticks do;
-    // the gate depends only on simulation state, so serial and
-    // parallel runs take it identically.
-    if (pool.threads() <= 1 || channels_.size() <= 1
-        || occupancy() == 0) {
-        tick();
-        return;
-    }
-    const unsigned shards = static_cast<unsigned>(std::min(
-        {static_cast<std::size_t>(pool.threads()), channels_.size(),
-         kMaxTickShards}));
-    TickJob job{&channels_, now_, 1, shards, nullptr};
-    pool.run(&TickJob::runShard, &job, shards);
-    ++now_;
-}
-
 std::uint64_t
-DramSystem::tickWindow(WorkerPool *pool, std::uint64_t cycles)
+DramSystem::tickWindow(std::uint64_t cycles)
 {
-    // The window is cross-channel quiet (caller-proven), so each shard
-    // may advance its channels through all `cycles` before the single
-    // barrier. Run serially when the pool is trivial or the window is
-    // too short to amortize a barrier.
-    const std::size_t n = channels_.size();
     std::uint64_t integral = 0;
-    if (pool == nullptr || pool->threads() <= 1 || n <= 1
-        || cycles < 8) {
-        for (auto &channel : channels_)
-            integral += channel->tickWindow(now_, cycles);
-    } else {
-        const unsigned shards = static_cast<unsigned>(std::min(
-            {static_cast<std::size_t>(pool->threads()), n,
-             kMaxTickShards}));
-        std::uint64_t sums[kMaxTickShards] = {};
-        TickJob job{&channels_, now_, cycles, shards, sums};
-        pool->run(&TickJob::runShard, &job, shards);
-        for (unsigned s = 0; s < shards; ++s)
-            integral += sums[s];
-    }
+    for (auto &channel : channels_)
+        integral += channel->tickWindow(now_, cycles);
     now_ += cycles;
     return integral;
 }

@@ -19,8 +19,6 @@
 
 namespace palermo {
 
-class WorkerPool;
-
 /** Construction parameters for the outsourced DRAM (Table III). */
 struct DramConfig
 {
@@ -71,26 +69,17 @@ class DramSystem
     void tick();
 
     /**
-     * Advance one cycle with channel ticks sharded across the pool's
-     * threads (channels are mutually independent within a cycle, so
-     * the result is byte-identical to tick()). Falls back to the
-     * serial loop when the pool is trivial, there is a single channel,
-     * or every queue is empty (idle ticks are too cheap to shard).
-     */
-    void tickParallel(WorkerPool &pool);
-
-    /**
-     * Batched-epoch fast path: advance `cycles` cycles with one
-     * barrier (or none, serially, when `pool` is null/trivial). Legal
-     * only when the caller proved the window is cross-channel quiet —
-     * readQuiescent() holds and nothing will be enqueued — since
-     * channels advance through the whole window independently.
+     * Batched-epoch fast path: advance `cycles` cycles one channel at
+     * a time. Legal only when the caller proved the window is
+     * cross-channel quiet — readQuiescent() holds and nothing will be
+     * enqueued — since channels advance through the whole window
+     * independently. State evolves exactly as `cycles` calls to tick().
      * @return Sum over the window of post-tick occupancy() across all
      *         channels (exact: integer addends), so the caller can
      *         keep its time-weighted occupancy bit-identical to the
      *         per-cycle path.
      */
-    std::uint64_t tickWindow(WorkerPool *pool, std::uint64_t cycles);
+    std::uint64_t tickWindow(std::uint64_t cycles);
 
     /**
      * True when no read is queued in any channel and no completion is

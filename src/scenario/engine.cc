@@ -152,9 +152,8 @@ nextClosedRequest(ClosedSource &source)
 }
 
 ServiceConfig
-serviceConfigFor(const ScenarioSpec &spec,
-                 const ScenarioRunOptions &options,
-                 std::uint64_t planned, std::uint64_t warmup)
+serviceConfigFor(const ScenarioSpec &spec, std::uint64_t planned,
+                 std::uint64_t warmup)
 {
     ServiceConfig config;
     config.protocol = spec.protocol;
@@ -163,7 +162,6 @@ serviceConfigFor(const ScenarioSpec &spec,
         config.system.protocol.numBlocks = spec.blocks;
     config.system.seed = spec.seed;
     config.system.protocol.seed = spec.seed;
-    config.system.simThreads = options.simThreads;
     config.system.totalRequests = planned ? planned : 1;
     config.system.warmupFraction = planned
         ? static_cast<double>(warmup) / static_cast<double>(planned)
@@ -201,9 +199,8 @@ struct RunProducts
  * identical either way; isolation only silences the other sources.
  */
 bool
-runOnce(const ScenarioSpec &spec, const ScenarioRunOptions &options,
-        int active, std::uint64_t warmup, bool record_leaves,
-        RunProducts *out, std::string *error)
+runOnce(const ScenarioSpec &spec, int active, std::uint64_t warmup,
+        bool record_leaves, RunProducts *out, std::string *error)
 {
     const auto is_active = [&](std::size_t index) {
         return active < 0 || static_cast<std::size_t>(active) == index;
@@ -222,7 +219,7 @@ runOnce(const ScenarioSpec &spec, const ScenarioRunOptions &options,
     // Expansion needs the slice size, which needs a directory with the
     // final geometry; build a throwaway directory from the normalized
     // config rather than the service (which does not exist yet).
-    ServiceConfig probe = serviceConfigFor(spec, options, 1, 0);
+    ServiceConfig probe = serviceConfigFor(spec, 1, 0);
     const SystemConfig normalized =
         normalizedProtocolConfig(probe.protocol, probe.system);
     const TenantDirectory geometry(
@@ -231,7 +228,7 @@ runOnce(const ScenarioSpec &spec, const ScenarioRunOptions &options,
 
     // Pre-expand and merge the open-loop schedule. stable_sort on the
     // due tick alone keeps equal-tick arrivals in tenant order — the
-    // same deterministic interleaving every run, every thread count.
+    // same deterministic interleaving every run.
     std::vector<MergedArrival> merged;
     for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
         if (spec.tenants[i].closedLoop || !is_active(i))
@@ -271,7 +268,7 @@ runOnce(const ScenarioSpec &spec, const ScenarioRunOptions &options,
     }
 
     ObliviousKvService service(
-        serviceConfigFor(spec, options, planned, warmup));
+        serviceConfigFor(spec, planned, warmup));
     if (record_leaves)
         service.enableLeafTrace();
 
@@ -434,8 +431,8 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options,
     outcome.spec = spec;
 
     RunProducts shared;
-    if (!runOnce(spec, options, -1, spec.warmupCompletions,
-                 options.security, &shared, error))
+    if (!runOnce(spec, -1, spec.warmupCompletions, options.security,
+                 &shared, error))
         return false;
     outcome.base = condenseBase(spec, shared, 0, scenarioPointId(spec),
                                 "scenario:" + spec.name);
@@ -465,8 +462,8 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options,
             spec.warmupCompletions / spec.tenants.size();
         for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
             RunProducts alone;
-            if (!runOnce(spec, options, static_cast<int>(i), iso_warmup,
-                         false, &alone, error))
+            if (!runOnce(spec, static_cast<int>(i), iso_warmup, false,
+                         &alone, error))
                 return false;
             IsolationRecord record;
             record.tenant = spec.tenants[i].name;

@@ -6,8 +6,8 @@
  * before the service is even constructed — every arrival instant, key,
  * and write flag is a pure function of (spec, tenant index), so the
  * merged schedule is byte-deterministic and, because the service itself
- * is sim-thread-invisible, so is every output byte across --sim-threads
- * values. Closed-loop tenants ride the completion sink: each response
+ * is deterministic, so is every output byte across repeat runs.
+ * Closed-loop tenants ride the completion sink: each response
  * re-issues that tenant's next request, the classic think-time-zero
  * discipline, attributed per tenant.
  *
@@ -46,7 +46,6 @@ namespace palermo {
 /** How to run a scenario (driver-level knobs, not part of the spec). */
 struct ScenarioRunOptions
 {
-    unsigned simThreads = 1;
     bool isolation = true; ///< Run per-tenant isolation baselines.
     bool security = true;  ///< Record the leaf trace, run the gates.
 };

@@ -86,13 +86,6 @@ parseScenarioCliArgs(int argc, const char *const *argv,
             if (!cursor.value(&value))
                 return fail(error, "--scenario needs a file path");
             result.scenarioPath = value;
-        } else if (name == "--sim-threads") {
-            std::uint64_t threads = 0;
-            if (!cursor.value(&value)
-                || !parseUnsigned(value, &threads) || threads == 0)
-                return fail(error,
-                            "--sim-threads needs a positive integer");
-            result.simThreads = static_cast<unsigned>(threads);
         } else if (name == "--json") {
             if (!cursor.value(&value))
                 return fail(error, "--json needs a path (or '-')");
@@ -230,9 +223,6 @@ scenarioUsage()
           "positionally)\n"
        << "  --json PATH         palermo-metrics-v1 output "
           "('-' = stdout)\n"
-       << "  --sim-threads N     threads stepping each session\n"
-       << "                      (byte-identical to serial; "
-          "default: 1)\n"
        << "  --no-isolation      skip the per-tenant isolation "
           "baselines\n"
        << "  --no-security       skip the merged-trace security "

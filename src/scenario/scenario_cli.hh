@@ -20,7 +20,6 @@ struct ScenarioCliOptions
 {
     std::string scenarioPath;   ///< Positional or --scenario FILE.
     std::string jsonPath;       ///< --json PATH ("-" = stdout).
-    unsigned simThreads = 1;    ///< --sim-threads N per session.
     bool noIsolation = false;   ///< --no-isolation: skip baselines.
     bool noSecurity = false;    ///< --no-security: skip the gates.
     bool listProtocols = false; ///< --list-protocols (registry).
@@ -30,7 +29,6 @@ struct ScenarioCliOptions
     ScenarioRunOptions runOptions() const
     {
         ScenarioRunOptions options;
-        options.simThreads = simThreads;
         options.isolation = !noIsolation;
         options.security = !noSecurity;
         return options;

@@ -17,10 +17,10 @@
  * arrival tick (client-side blocking and queueing included);
  * queueing delay is admission tick minus arrival tick.
  *
- * Everything is deterministic in (config, arrival sequence): stepping
- * happens on the caller's thread, the session's channel-sharded
- * parallelism (config.system.simThreads) is byte-invisible, and no
- * wall-clock value enters any statistic.
+ * Everything is deterministic in (config, arrival sequence): the
+ * session is stepped on the caller's thread, one cycle or one
+ * quiescent window at a time, and no wall-clock value enters any
+ * statistic.
  */
 
 #ifndef PALERMO_SERVICE_KV_SERVICE_HH

@@ -95,13 +95,6 @@ parseLoadgenArgs(int argc, const char *const *argv,
                 || !parseUnsigned(value, &result.seed))
                 return fail(error, "--seed needs an unsigned integer");
             result.seedSet = true;
-        } else if (name == "--sim-threads") {
-            std::uint64_t threads = 0;
-            if (!cursor.value(&value)
-                || !parseUnsigned(value, &threads) || threads == 0)
-                return fail(error,
-                            "--sim-threads needs a positive integer");
-            result.simThreads = static_cast<unsigned>(threads);
         } else if (name == "--openloop") {
             std::vector<std::string> fields;
             if (!cursor.value(&value) || !splitList(value, &fields))
@@ -226,7 +219,6 @@ LoadgenOptions::baseConfig() const
         config.seed = seed;
         config.protocol.seed = seed;
     }
-    config.simThreads = simThreads;
     return config;
 }
 
@@ -583,9 +575,6 @@ loadgenUsage()
        << "  --blocks N          protected 64B lines (default: 2^18)\n"
        << "  --paper             Table III 16 GB geometry\n"
        << "  --seed N            determinism seed (default: 1)\n"
-       << "  --sim-threads N     threads stepping each session\n"
-       << "                      (byte-identical to serial; "
-          "default: 1)\n"
        << "\n"
        << "output:\n"
        << "  --json PATH         palermo-metrics-v1 JSON "

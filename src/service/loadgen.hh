@@ -14,7 +14,7 @@
  * Everything is a deterministic function of the options: arrivals,
  * key draws, and tenant picks come from seeded RNGs, time is the
  * simulated clock, and records render byte-identically across repeat
- * runs and across --sim-threads values. Kept in the library (not
+ * runs. Kept in the library (not
  * tools/) so the flag parser and the point runner are unit-testable,
  * mirroring run_cli.
  */
@@ -40,7 +40,6 @@ struct LoadgenOptions
     std::uint64_t blocks = 0;      ///< --blocks (0 = keep default).
     bool seedSet = false;
     std::uint64_t seed = 0;        ///< --seed (when seedSet).
-    unsigned simThreads = 1;       ///< --sim-threads N per session.
 
     /** --openloop: target rates in requests per kilocycle. */
     std::vector<double> openloopRates;

@@ -22,6 +22,17 @@ fail(std::string *error, const std::string &message)
     return false;
 }
 
+/**
+ * palermo_replay flags that shape a single-trace session. A scenario
+ * file carries its own protocol, geometry, seed and traffic.
+ */
+bool
+isTraceOnlyReplayFlag(const std::string &name)
+{
+    return name == "--protocol" || name == "--blocks" || name == "--seed"
+        || name == "--paper" || name == "--depth" || name == "--progress";
+}
+
 } // namespace
 
 bool
@@ -88,13 +99,6 @@ parseRunArgs(int argc, const char *const *argv, RunOptions *options,
                 || jobs == 0)
                 return fail(error, "--jobs needs a positive integer");
             result.jobs = static_cast<unsigned>(jobs);
-        } else if (name == "--sim-threads") {
-            std::uint64_t threads = 0;
-            if (!cursor.value(&value)
-                || !parseUnsigned(value, &threads) || threads == 0)
-                return fail(error,
-                            "--sim-threads needs a positive integer");
-            result.simThreads = static_cast<unsigned>(threads);
         } else {
             return fail(error, "unknown flag '" + name + "'");
         }
@@ -118,7 +122,6 @@ RunOptions::baseConfig() const
         config.protocol.seed = seed;
     }
     config.constantRate = constantRate;
-    config.simThreads = simThreads;
     return config;
 }
 
@@ -223,9 +226,6 @@ runUsage()
        << "                    channels, prefetch, seed; repeatable\n"
        << "  --jobs N          worker threads for the sweep "
           "(default: 1)\n"
-       << "  --sim-threads N   threads stepping each session "
-          "(channel-sharded,\n"
-       << "                    byte-identical to serial; default: 1)\n"
        << "  --json PATH       write palermo-metrics-v1 JSON "
           "('-' = stdout)\n"
        << "  --list            print the expanded grid and exit\n"
@@ -245,11 +245,14 @@ parseReplayArgs(int argc, const char *const *argv,
                 ReplayOptions *options, std::string *error)
 {
     ReplayOptions result;
+    std::string trace_only; ///< First trace-only flag given.
 
     ArgCursor cursor(argc, argv);
     while (cursor.advance()) {
         const std::string name = cursor.name();
         std::string value;
+        if (trace_only.empty() && isTraceOnlyReplayFlag(name))
+            trace_only = name;
 
         if (name == "--help" || name == "-h") {
             result.help = true;
@@ -291,13 +294,6 @@ parseReplayArgs(int argc, const char *const *argv,
                 || result.progress == 0)
                 return fail(error,
                             "--progress needs a positive integer");
-        } else if (name == "--sim-threads") {
-            std::uint64_t threads = 0;
-            if (!cursor.value(&value)
-                || !parseUnsigned(value, &threads) || threads == 0)
-                return fail(error,
-                            "--sim-threads needs a positive integer");
-            result.simThreads = static_cast<unsigned>(threads);
         } else if (name == "--json") {
             if (!cursor.value(&value))
                 return fail(error, "--json needs a path (or '-')");
@@ -305,6 +301,13 @@ parseReplayArgs(int argc, const char *const *argv,
         } else {
             return fail(error, "unknown flag '" + name + "'");
         }
+    }
+    if (!result.scenarioPath.empty()) {
+        if (!result.tracePath.empty())
+            return fail(error,
+                        "--trace and --scenario are mutually exclusive");
+        if (!trace_only.empty())
+            return fail(error, trace_only + " applies only to --trace runs");
     }
 
     *options = result;
@@ -322,7 +325,6 @@ ReplayOptions::baseConfig() const
         config.seed = seed;
         config.protocol.seed = seed;
     }
-    config.simThreads = simThreads;
     return config;
 }
 
@@ -339,9 +341,10 @@ replayUsage()
        << "options:\n"
        << "  --trace FILE      trace file ('R <line>' / 'W <line> "
           "[value]')\n"
-       << "  --scenario FILE   multi-tenant scenario JSON (excludes "
-          "--trace;\n"
-       << "                    honors only --sim-threads and --json)\n"
+       << "  --scenario FILE   multi-tenant scenario JSON; combines "
+          "only with\n"
+       << "                    --json (the other options shape a "
+          "--trace run)\n"
        << "  --protocol NAME   " << protocolTokens() << "\n"
        << "                    (default: palermo)\n"
        << "  --blocks N        protected 64B lines (default: 2^18)\n"
@@ -351,9 +354,6 @@ replayUsage()
           "controller (default: 8)\n"
        << "  --progress N      print a mid-run snapshot line to stderr "
           "every N served\n"
-       << "  --sim-threads N   threads stepping the session "
-          "(channel-sharded,\n"
-       << "                    byte-identical to serial; default: 1)\n"
        << "  --json PATH       write palermo-metrics-v1 JSON "
           "('-' = stdout)\n"
        << "  --list-protocols  print the protocol registry and exit\n"

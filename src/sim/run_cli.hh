@@ -94,7 +94,6 @@ struct RunOptions
     std::string sweep;             ///< Joined --sweep clauses.
     std::string jsonPath;          ///< --json PATH ("-" = stdout).
     unsigned jobs = 1;             ///< --jobs N worker threads.
-    unsigned simThreads = 1;       ///< --sim-threads N per session.
     bool listPoints = false;       ///< --list: print grid, don't run.
     bool listProtocols = false;    ///< --list-protocols (registry).
     bool listWorkloads = false;    ///< --list-workloads.
@@ -132,7 +131,6 @@ struct ReplayOptions
 
     std::uint64_t depth = 8;       ///< --depth: submit-queue bound.
     std::uint64_t progress = 0;    ///< --progress N (0 = off).
-    unsigned simThreads = 1;       ///< --sim-threads N per session.
     std::string jsonPath;          ///< --json PATH ("-" = stdout).
     bool listProtocols = false;    ///< --list-protocols (registry).
     bool help = false;             ///< --help / -h.
@@ -144,7 +142,12 @@ struct ReplayOptions
     SystemConfig baseConfig() const;
 };
 
-/** Parse palermo_replay argv (excluding argv[0]); see parseRunArgs. */
+/**
+ * Parse palermo_replay argv (excluding argv[0]); see parseRunArgs.
+ * Also fails when --scenario is combined with --trace or with a flag
+ * that only shapes a trace run (--protocol, --blocks, --seed, --paper,
+ * --depth, --progress); the error names the flag.
+ */
 bool parseReplayArgs(int argc, const char *const *argv,
                      ReplayOptions *options, std::string *error);
 

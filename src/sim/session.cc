@@ -21,7 +21,7 @@ constexpr Tick kTickLimit = 2'000'000'000ull;
 /**
  * Cap on one batched quiescent epoch in finish(): bounds how long the
  * loop goes without consulting the runaway guard while still fully
- * amortizing barrier and loop overhead.
+ * amortizing the per-window overhead.
  */
 constexpr std::uint64_t kBulkChunk = 1u << 16;
 
@@ -51,8 +51,6 @@ SimSession::SimSession(const SystemConfig &config,
       measuring_(warmupServed_ == 0), nextSample_(window_)
 {
     palermo_assert(controller_ != nullptr);
-    if (config.simThreads > 1)
-        pool_ = std::make_unique<WorkerPool>(config.simThreads);
 }
 
 void
@@ -93,15 +91,6 @@ SimSession::admit(Tick now)
     }
 }
 
-void
-SimSession::tickDram()
-{
-    if (pool_ != nullptr)
-        dram_->tickParallel(*pool_);
-    else
-        dram_->tick();
-}
-
 std::uint64_t
 SimSession::quiescentWindow(std::uint64_t bound) const
 {
@@ -135,8 +124,7 @@ SimSession::bulkStep(std::uint64_t bound)
     if (window == 0 || !controller_->tickIdle(window))
         return 0;
     palermo_assert(dram_->now() < kTickLimit, "simulation runaway");
-    outstanding_.accumulateExact(
-        dram_->tickWindow(pool_.get(), window), window);
+    outstanding_.accumulateExact(dram_->tickWindow(window), window);
     return window;
 }
 
@@ -154,7 +142,7 @@ SimSession::runCycle()
     admit(now);
 
     controller_->tick(*dram_);
-    tickDram();
+    dram_->tick();
     outstanding_.accumulate(static_cast<double>(dram_->occupancy()), 1);
 
     ControllerStats &cs = controller_->stats();
@@ -199,7 +187,7 @@ SimSession::drain()
         for (const Completion &completion : dram_->drainCompletions())
             controller_->onCompletion(completion.tag);
         controller_->tick(*dram_);
-        tickDram();
+        dram_->tick();
         outstanding_.accumulate(
             static_cast<double>(dram_->occupancy()), 1);
     }

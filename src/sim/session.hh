@@ -18,13 +18,12 @@
  * frontend-bound session stepped to completion produces byte-identical
  * palermo-metrics-v1 JSON to the pre-session code.
  *
- * With config.simThreads > 1 the session owns a WorkerPool and shards
- * channel ticks across it inside each cycle (and batches barrier
- * epochs over provably quiescent windows). Channels are independent
- * within a cycle and the controller/frontend half stays on the
- * coordinating thread, so the parallel schedule is an implementation
- * detail: every stat, stash sample, and metrics byte is identical to
- * the serial run (tests/test_parallel_identity.cc).
+ * One session runs on one thread. When the controller is idle and no
+ * read is in flight, step() advances a whole event-free window at once
+ * (bulkStep: one DramSystem::tickWindow plus exact occupancy
+ * integration), which evolves every stat, stash sample, and metrics
+ * byte exactly as the per-cycle loop would. Parallelism lives across
+ * independent sessions (SweepRunner), never inside one.
  */
 
 #ifndef PALERMO_SIM_SESSION_HH
@@ -39,7 +38,6 @@
 #include "controller/controller.hh"
 #include "mem/dram_system.hh"
 #include "sim/frontend.hh"
-#include "sim/parallel.hh"
 #include "sim/system_config.hh"
 
 namespace palermo {
@@ -166,7 +164,6 @@ class SimSession
   private:
     void runCycle();
     void admit(Tick now);
-    void tickDram();
 
     /**
      * Largest batchable window of provably event-free cycles starting
@@ -191,7 +188,6 @@ class SimSession
     std::unique_ptr<DramSystem> dram_;
     std::unique_ptr<Controller> controller_;
     std::unique_ptr<Frontend> frontend_; ///< Null when externally fed.
-    std::unique_ptr<WorkerPool> pool_;   ///< Null when simThreads <= 1.
     std::deque<FrontendRequest> inbox_;  ///< submit()ted, not admitted.
 
     // Warmup and sampling state (formerly locals of Simulator::run).

@@ -67,14 +67,6 @@ struct SystemConfig
     std::uint64_t seed = 1;
 
     /**
-     * Host threads stepping one session (channel-sharded DRAM ticks);
-     * 1 = fully serial. An execution knob, not a design point: results
-     * are byte-identical at any value, so it is deliberately excluded
-     * from describe() and the metrics-JSON config block.
-     */
-    unsigned simThreads = 1;
-
-    /**
      * Scaled default: 2^18-line (16 MB) protected space, proportionally
      * sized tree-top caches; every figure regenerates in seconds.
      * Honors env overrides PALERMO_REQS / PALERMO_BLOCKS / PALERMO_SEED.

@@ -31,13 +31,12 @@ namespace {
 
 /** Heap allocations per steady-state request, averaged. */
 double
-steadyStateAllocsPerRequest(ProtocolKind kind, unsigned sim_threads = 1)
+steadyStateAllocsPerRequest(ProtocolKind kind)
 {
     SystemConfig config;
     config.protocol.numBlocks = 1ull << 11; // 2048 blocks.
     config.totalRequests = 6000;            // Warmup 3000 > numBlocks.
     config.seed = 1;
-    config.simThreads = sim_threads;
 
     auto session = makeSession(kind, Workload::Stream, config);
     const std::uint64_t warmup_served = static_cast<std::uint64_t>(
@@ -77,16 +76,6 @@ TEST(AllocBudget, PalermoSteadyStateStaysPooled)
 TEST(AllocBudget, PathOramSteadyStateStaysPooled)
 {
     EXPECT_LE(steadyStateAllocsPerRequest(ProtocolKind::PathOram), 2.0);
-}
-
-TEST(AllocBudget, ParallelSteppingStaysPooled)
-{
-    // --sim-threads must not reintroduce per-request allocation: the
-    // WorkerPool's threads are created at session construction (before
-    // the measured segment) and its epoch dispatch is a raw function
-    // pointer plus caller-owned context — zero heap traffic per cycle.
-    EXPECT_LE(
-        steadyStateAllocsPerRequest(ProtocolKind::Palermo, 2), 2.0);
 }
 
 /**

@@ -158,5 +158,54 @@ TEST(DramSystem, SnapshotAggregatesAcrossChannels)
     EXPECT_EQ(dram.snapshot().rowMisses, 4u);
 }
 
+TEST(DramSystem, TickWindowMatchesPerCycleTicks)
+{
+    // tickWindow advances channel-major (each channel runs the whole
+    // window in turn); tick() advances cycle-major. With only writes
+    // queued the window is legal, and both orders must land on the
+    // same state. 20000 cycles crosses the first DDR4-3200 refresh
+    // (tREFI = 12480).
+    constexpr std::uint64_t kCycles = 20000;
+    DramSystem batched(smallConfig());
+    DramSystem stepped(smallConfig());
+    Rng rng(5);
+    bool channel_used[4] = {};
+    for (std::uint64_t i = 0; i < 48; ++i) {
+        const Addr addr = rng.next() % (1 << 24) * kBlockBytes;
+        ASSERT_TRUE(batched.enqueue(addr, true, i));
+        ASSERT_TRUE(stepped.enqueue(addr, true, i));
+        channel_used[batched.addressMap().decode(addr).channel] = true;
+    }
+    int channels_used = 0;
+    for (const bool used : channel_used)
+        channels_used += used ? 1 : 0;
+    ASSERT_GE(channels_used, 2);
+    ASSERT_TRUE(batched.readQuiescent());
+
+    const std::uint64_t integral = batched.tickWindow(kCycles);
+    std::uint64_t sum = 0;
+    for (std::uint64_t i = 0; i < kCycles; ++i) {
+        stepped.tick();
+        sum += stepped.occupancy();
+    }
+
+    EXPECT_EQ(integral, sum);
+    EXPECT_EQ(batched.now(), stepped.now());
+    EXPECT_EQ(batched.occupancy(), stepped.occupancy());
+    const DramSnapshot a = batched.snapshot();
+    const DramSnapshot b = stepped.snapshot();
+    EXPECT_GT(a.writes, 0u);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.rowHits, b.rowHits);
+    EXPECT_EQ(a.rowMisses, b.rowMisses);
+    EXPECT_EQ(a.rowConflicts, b.rowConflicts);
+    EXPECT_EQ(a.forwardedReads, b.forwardedReads);
+    EXPECT_EQ(a.busBusyTicks, b.busBusyTicks);
+    EXPECT_EQ(a.totalTicks, b.totalTicks);
+    EXPECT_EQ(a.avgQueueOccupancy, b.avgQueueOccupancy);
+    EXPECT_EQ(a.avgReadLatency, b.avgReadLatency);
+}
+
 } // namespace
 } // namespace palermo

@@ -3,8 +3,7 @@
  * the real timing stack — backpressure policies, per-tenant
  * accounting and isolation, the warmup measurement boundary
  * (accepted == completed after a full drain), and byte-determinism
- * of the rendered service snapshot across repeat runs and
- * --sim-threads values.
+ * of the rendered service snapshot across repeat runs.
  */
 
 #include <gtest/gtest.h>
@@ -196,20 +195,16 @@ renderSnapshot(const ServiceSnapshot &snapshot)
     return w.str();
 }
 
-TEST(KvServiceTest, DeterministicAcrossRunsAndSimThreads)
+TEST(KvServiceTest, DeterministicAcrossRuns)
 {
-    const auto run = [](unsigned sim_threads) {
-        ServiceConfig config = tinyService(2, 48);
-        config.system.simThreads = sim_threads;
-        ObliviousKvService service(config);
+    const auto run = [] {
+        ObliviousKvService service(tinyService(2, 48));
         for (std::uint64_t i = 0; i < 48; ++i)
             offerBlocking(service, i % 2, i * 7, service.now());
         service.drainAll();
         return renderSnapshot(service.snapshot());
     };
-    const std::string serial = run(1);
-    EXPECT_EQ(serial, run(1)) << "repeat run diverged";
-    EXPECT_EQ(serial, run(2)) << "sim-threads=2 diverged";
+    EXPECT_EQ(run(), run()) << "repeat run diverged";
 }
 
 } // namespace

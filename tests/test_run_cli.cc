@@ -247,6 +247,31 @@ TEST(ParseReplayArgs, RejectsBadInput)
     EXPECT_FALSE(parseReplay({"--progress", "x"}, &options, &error));
     EXPECT_FALSE(parseReplay({"--jobs", "2"}, &options, &error));
     EXPECT_FALSE(error.empty());
+
+    EXPECT_FALSE(parseReplay(
+        {"--trace", "t.trace", "--scenario", "s.json"}, &options, &error));
+    EXPECT_NE(error.find("mutually exclusive"), std::string::npos)
+        << error;
+    // A scenario file carries its own protocol, geometry, seed and
+    // traffic, so every trace-shaping flag is an error beside it.
+    const std::vector<std::vector<const char *>> trace_only = {
+        {"--protocol", "ring"}, {"--blocks", "4096"}, {"--seed", "3"},
+        {"--paper"},            {"--depth", "4"},     {"--progress", "50"},
+    };
+    for (const auto &flag : trace_only) {
+        std::vector<const char *> args = {"--scenario", "s.json"};
+        args.insert(args.end(), flag.begin(), flag.end());
+        error.clear();
+        EXPECT_FALSE(parseReplay(args, &options, &error)) << flag[0];
+        EXPECT_NE(error.find(flag[0]), std::string::npos) << error;
+    }
+    // Order does not matter, and --json still combines with --scenario.
+    EXPECT_FALSE(parseReplay({"--seed=3", "--scenario", "s.json"},
+                             &options, &error));
+    EXPECT_NE(error.find("--seed"), std::string::npos) << error;
+    EXPECT_TRUE(parseReplay({"--scenario", "s.json", "--json", "-"},
+                            &options, &error))
+        << error;
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file Scenario engine tests: accounting invariants of a shared
  * multi-tenant run (per-tenant sums match globals, accepted ==
  * completed after drain), byte-identity of the rendered document
- * across --sim-threads 1/2/4, isolation baselines, closed-loop
+ * across repeat runs, isolation baselines, closed-loop
  * concurrency limits, and trace-backed tenants (via the checked-in
  * tiny.trace).
  */
@@ -80,25 +80,6 @@ TEST(ScenarioEngineTest, AccountingInvariantsHold)
     std::vector<std::string> problems;
     EXPECT_TRUE(scenarioSanityCheck(outcome, &problems))
         << (problems.empty() ? "" : problems.front());
-}
-
-TEST(ScenarioEngineTest, DocumentBytesIdenticalAcrossSimThreads)
-{
-    const ScenarioSpec spec = smallSpec();
-    std::string baseline;
-    for (unsigned threads : {1u, 2u, 4u}) {
-        ScenarioRunOptions options;
-        options.simThreads = threads;
-        ScenarioOutcome outcome;
-        std::string error;
-        ASSERT_TRUE(runScenario(spec, options, &outcome, &error))
-            << "threads=" << threads << ": " << error;
-        const std::string doc = scenarioDocument(outcome, "unit");
-        if (baseline.empty())
-            baseline = doc;
-        else
-            EXPECT_EQ(doc, baseline) << "threads=" << threads;
-    }
 }
 
 TEST(ScenarioEngineTest, RepeatRunsAreByteIdentical)

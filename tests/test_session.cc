@@ -12,6 +12,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/metrics_json.hh"
+#include "sim/protocol_registry.hh"
 #include "sim/sweep.hh"
 
 namespace palermo {
@@ -234,6 +235,34 @@ TEST(SimSession, SubmitOnFrontendBoundSessionIsAnError)
     SimSession session(ProtocolKind::Palermo, config,
                        makeFrontend(Workload::Random, config));
     EXPECT_DEATH(session.submit(0), "bound frontend");
+}
+
+TEST(SimSession, FinishChunkingMatchesStepwiseDrive)
+{
+    // finish() batches quiescent windows and checks done() once per
+    // epoch; an external driver steps one cycle at a time. Both must
+    // land on the same final state — here compared through the full
+    // rendered document. Constant-rate admission leaves idle gaps
+    // between requests, so the batched path actually runs.
+    SystemConfig config;
+    config.protocol.numBlocks = 1ull << 10;
+    config.totalRequests = 150;
+    config.seed = 7;
+    config.constantRate = true;
+    config = normalizedProtocolConfig(ProtocolKind::Palermo, config);
+
+    const RunMetrics chunked =
+        runExperiment(ProtocolKind::Palermo, Workload::Random, config);
+    auto session =
+        makeSession(ProtocolKind::Palermo, Workload::Random, config);
+    while (!session->done())
+        session->step(1);
+    session->drain();
+    const RunMetrics stepwise = session->snapshot();
+    EXPECT_EQ(renderDocument(ProtocolKind::Palermo, Workload::Random,
+                             config, chunked),
+              renderDocument(ProtocolKind::Palermo, Workload::Random,
+                             config, stepwise));
 }
 
 TEST(SimSession, SweepRunnerStaysByteDeterministicOverSessions)

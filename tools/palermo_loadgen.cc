@@ -7,8 +7,8 @@
  * concurrency) runs a fresh ObliviousKvService to completion and
  * prints one table row; --json renders the whole sweep as a
  * palermo-metrics-v1 document whose bytes are a deterministic
- * function of the flags (identical across repeat runs and across
- * --sim-threads values). A rate sweep therefore yields a
+ * function of the flags (identical across repeat runs). A rate sweep
+ * therefore yields a
  * throughput-vs-tail-latency saturation curve from one invocation.
  *
  * Exit status: 0 on success, 1 on sanity-gate or I/O failure, 2 on
@@ -70,7 +70,7 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(global.rejected));
         if (options.progress) {
             // Wall-clock throughput (reporting only — never in JSON),
-            // so --sim-threads scaling is visible across the sweep.
+            // so the host cost of each point is visible in the sweep.
             wall_completed += global.completed;
             std::fprintf(stderr,
                          "progress: %zu/%zu points  wall-req/s %.0f\n",

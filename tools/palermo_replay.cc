@@ -72,25 +72,16 @@ main(int argc, char **argv)
         std::fputs(protocolListing().c_str(), stdout);
         return 0;
     }
-    if (!options.scenarioPath.empty() && !options.tracePath.empty()) {
-        std::fprintf(stderr,
-                     "palermo_replay: --trace and --scenario are "
-                     "mutually exclusive\n\n%s",
-                     replayUsage().c_str());
-        return 2;
-    }
     if (!options.scenarioPath.empty()) {
-        // Scenario mode: delegate to the scenario engine; the replay
-        // flags that shape a single-trace session don't apply.
+        // Scenario mode: delegate to the scenario engine. The parser
+        // already rejected the flags that shape a single-trace session.
         ScenarioSpec spec;
         if (!loadScenarioFile(options.scenarioPath, &spec, &error)) {
             std::fprintf(stderr, "palermo_replay: %s\n", error.c_str());
             return 2;
         }
-        ScenarioRunOptions run_options;
-        run_options.simThreads = options.simThreads;
         ScenarioOutcome outcome;
-        if (!runScenario(spec, run_options, &outcome, &error)) {
+        if (!runScenario(spec, ScenarioRunOptions{}, &outcome, &error)) {
             std::fprintf(stderr, "palermo_replay: %s\n", error.c_str());
             return 1;
         }
@@ -155,8 +146,8 @@ main(int argc, char **argv)
         if (options.progress && session.served() >= next_progress) {
             next_progress += options.progress;
             const RunMetrics mid = session.snapshot();
-            // Wall-clock throughput alongside simulated time, so
-            // --sim-threads scaling is visible mid-run.
+            // Wall-clock throughput alongside simulated time, so the
+            // host cost of a long replay is visible mid-run.
             const double wall_rps = wall.perSecond(session.served());
             std::fprintf(stderr,
                          "progress: served %llu/%zu  cycles %llu  "
