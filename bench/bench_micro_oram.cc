@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark micros for the ORAM functional layer: plan
- * generation cost per protocol access (the simulator's inner loop) and
- * stash operations.
+ * generation cost per protocol access (the simulator's inner loop),
+ * stash operations, and building a prefilled hierarchy.
  */
 
 #include <benchmark/benchmark.h>
@@ -84,6 +84,21 @@ BM_StashPutTake(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StashPutTake);
+
+void
+BM_PalermoConstruct(benchmark::State &state)
+{
+    // Whole three-tree hierarchy, prefilled (TreeStore::build).
+    ProtocolConfig config = benchProto();
+    config.numBlocks = 1 << 18;
+    for (auto _ : state) {
+        PalermoOram oram(config);
+        benchmark::DoNotOptimize(
+            oram.engine(kLevelData).tree().touchedCount());
+    }
+    state.SetItemsProcessed(state.iterations() * config.numBlocks);
+}
+BENCHMARK(BM_PalermoConstruct)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -8,10 +8,12 @@
  * overrides the DRAM org) it runs each design point to completion on
  * one thread and reports host-side speed for the post-warmup segment:
  * simulated cycles/sec, requests/sec, heap allocations per request,
- * and peak RSS. The simulated metrics go into the usual palermo-metrics-v1
- * "points" records (so perf_compare can pin them exactly — they are
- * deterministic); the host-side numbers go into "derived" under
- * "speed.<id>.*" (they vary run to run and are gated with tolerance).
+ * and peak RSS, plus the wall time of constructing the session (which
+ * includes building the prefilled trees). The simulated metrics go into
+ * the usual palermo-metrics-v1 "points" records (so perf_compare can pin
+ * them exactly — they are deterministic); the host-side numbers go into
+ * "derived" under "speed.<id>.*" (they vary run to run and are gated
+ * with tolerance).
  *
  * --before FILE imports the "speed.*" keys of an earlier document as
  * "before.speed.*" and adds "speedup.<id>" = after/before requests per
@@ -179,6 +181,7 @@ peakRssMb()
 /** Host-side measurements for one design point. */
 struct HostSpeed
 {
+    double constructSeconds = 0.0; ///< makeSession (tree prefill).
     double wallSeconds = 0.0;
     double simCyclesPerSecond = 0.0;
     double requestsPerSecond = 0.0;
@@ -194,7 +197,10 @@ struct HostSpeed
 RunMetrics
 runPoint(ProtocolKind kind, const SystemConfig &config, HostSpeed *speed)
 {
+    const auto built0 = std::chrono::steady_clock::now();
     auto session = makeSession(kind, Workload::Random, config);
+    speed->constructSeconds = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - built0).count();
     const std::uint64_t warmup_served = static_cast<std::uint64_t>(
         config.totalRequests * config.warmupFraction);
 
@@ -300,8 +306,9 @@ main(int argc, char **argv)
     std::vector<RunRecord> records;
     std::map<std::string, double> derived;
 
-    std::printf("%-24s%14s%14s%14s%12s%10s\n", "point", "req/kcyc",
-                "sim-kcyc/s", "req/s", "allocs/req", "rss-MiB");
+    std::printf("%-24s%14s%14s%14s%12s%10s%12s\n", "point", "req/kcyc",
+                "sim-kcyc/s", "req/s", "allocs/req", "rss-MiB",
+                "construct-s");
     for (const ProtocolKind kind : options.protocols) {
         for (const unsigned log2_blocks : options.sizes) {
             SystemConfig config;
@@ -329,6 +336,7 @@ main(int argc, char **argv)
             record.metrics = runPoint(kind, config, &speed);
 
             const std::string prefix = "speed." + record.point.id + ".";
+            derived[prefix + "construct_seconds"] = speed.constructSeconds;
             derived[prefix + "wall_seconds"] = speed.wallSeconds;
             derived[prefix + "sim_cycles_per_second"] =
                 speed.simCyclesPerSecond;
@@ -338,12 +346,12 @@ main(int argc, char **argv)
                 speed.allocsPerRequest;
             derived[prefix + "peak_rss_mb"] = speed.peakRssMb;
 
-            std::printf("%-24s%14.3f%14.1f%14.1f%12.1f%10.1f\n",
+            std::printf("%-24s%14.3f%14.1f%14.1f%12.1f%10.1f%12.3f\n",
                         record.point.id.c_str(),
                         record.metrics.requestsPerKilocycle,
                         speed.simCyclesPerSecond / 1000.0,
                         speed.requestsPerSecond, speed.allocsPerRequest,
-                        speed.peakRssMb);
+                        speed.peakRssMb, speed.constructSeconds);
             records.push_back(std::move(record));
         }
     }

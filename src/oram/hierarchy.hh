@@ -26,6 +26,7 @@
 #include "oram/plan.hh"
 #include "oram/posmap.hh"
 #include "oram/stash.hh"
+#include "oram/tree_store.hh"
 
 namespace palermo {
 
@@ -71,10 +72,13 @@ struct ProtocolConfig
     Addr dramBase = 0;
 
     /**
-     * Bulk-load every tree at construction (the protected data already
-     * exists, as in the paper's testbed). Skipped automatically above
-     * kPrefillLimit blocks, where the lazy empty-start geometry is the
-     * point (e.g. the 16 GB Table III audit).
+     * Load every tree at construction (the protected data already
+     * exists, as in the paper's testbed): each engine's prefill() builds
+     * its tree in bulk, level by level (TreeStore::build), into the
+     * state a greedy per-block fill in block-id order would leave.
+     * Skipped automatically above kPrefillLimit blocks, where the lazy
+     * empty-start geometry is the point (e.g. the 16 GB Table III
+     * audit).
      */
     bool prefill = true;
 
@@ -91,20 +95,15 @@ struct ProtocolConfig
  */
 unsigned cachedLevelsFor(const OramParams &params, std::uint64_t bytes);
 
-/** Largest space the constructors will bulk-load eagerly. */
-constexpr std::uint64_t kPrefillLimit = 1ull << 22;
-
 /**
- * Bulk-load an engine's tree: plant every block on its current posmap
- * path, modeling a pre-existing protected dataset.
+ * Largest tree the constructors prefill; above it trees start empty and
+ * materialize lazily. TreeStore::build sorts 32-bit block ids, so its
+ * temporaries (at most 16 bytes per block, freed before the tree's
+ * slot arrays are written) stay well below the tree itself.
  */
-template <typename Engine>
-void
-prefillEngine(Engine &engine, const PosMap &posmap)
-{
-    for (BlockId block = 0; block < engine.params().numBlocks; ++block)
-        engine.plant(block, posmap.get(block));
-}
+constexpr std::uint64_t kPrefillLimit = 1ull << 22;
+static_assert(kPrefillLimit <= TreeStore::kMaxBuildBlocks,
+              "prefilled trees must fit TreeStore::build's 32-bit ids");
 
 /**
  * LRU model of prefetched lines resident in the LLC: misses on resident

@@ -32,7 +32,7 @@ IrOram::IrOram(const ProtocolConfig &config)
             blocks[level], params.numLeaves,
             mix64(config.seed + 599 * level));
         if (config.prefill && blocks[level] <= kPrefillLimit)
-            prefillEngine(*engines_[level], *posMaps_[level]);
+            engines_[level]->prefill(*posMaps_[level]);
         base = engines_[level]->layout().endAddr();
     }
 }

@@ -85,10 +85,11 @@ class RingEngine
                     LevelPlan *plan);
 
     /**
-     * Bulk-load one block during initial ORAM construction: place it as
-     * deep as possible on its assigned path (stash as last resort).
+     * Initial ORAM construction: load every block at its posmap leaf,
+     * as deep as it fits on its path (TreeStore::build), and stash the
+     * root's overflow in block-id order. The tree must be untouched.
      */
-    void plant(BlockId block, Leaf leaf, std::uint64_t payload = 0);
+    void prefill(const PosMap &posmap);
 
     /** Read a stashed block's payload (valid right after access()). */
     std::uint64_t payloadOf(BlockId block) const;

@@ -29,7 +29,7 @@ PageOram::PageOram(const ProtocolConfig &config)
             blocks[level], params.numLeaves,
             mix64(config.seed + 691 * level));
         if (config.prefill && blocks[level] <= kPrefillLimit)
-            prefillEngine(*engines_[level], *posMaps_[level]);
+            engines_[level]->prefill(*posMaps_[level]);
         base = engines_[level]->layout().endAddr();
     }
 }

@@ -35,7 +35,7 @@ PalermoOram::PalermoOram(const ProtocolConfig &config)
             level_blocks, params.numLeaves,
             mix64(config.seed + 857 * level));
         if (config.prefill && level_blocks <= kPrefillLimit)
-            prefillEngine(*engines_[level], *posMaps_[level]);
+            engines_[level]->prefill(*posMaps_[level]);
         base = engines_[level]->layout().endAddr();
     }
 }

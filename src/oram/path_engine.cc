@@ -246,22 +246,10 @@ PathEngine::dummyAccessInto(Leaf leaf, LevelPlan *plan)
 }
 
 void
-PathEngine::plant(BlockId block, Leaf leaf, std::uint64_t payload)
+PathEngine::prefill(const PosMap &posmap)
 {
-    palermo_assert(block < params_.numBlocks);
-    palermo_assert(leaf < params_.numLeaves);
-    const std::vector<NodeId> path = params_.pathNodes(leaf);
-    for (auto it = path.rbegin(); it != path.rend(); ++it) {
-        if (tree_.node(*it).tryPlace({block, payload, leaf}))
-            return;
-        if (siblingMode_ && *it != 0) {
-            const NodeId sibling =
-                (*it % 2 == 1) ? *it + 1 : *it - 1;
-            if (tree_.node(sibling).tryPlace({block, payload, leaf}))
-                return;
-        }
-    }
-    stash_.put(block, leaf, payload);
+    for (const BlockId block : tree_.build(posmap, siblingMode_))
+        stash_.put(block, posmap.get(block), 0);
 }
 
 std::uint64_t

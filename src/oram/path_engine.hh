@@ -23,6 +23,7 @@
 #include "common/types.hh"
 #include "oram/layout.hh"
 #include "oram/plan.hh"
+#include "oram/posmap.hh"
 #include "oram/stash.hh"
 #include "oram/tree_store.hh"
 
@@ -91,10 +92,12 @@ class PathEngine
     void dummyAccessInto(Leaf leaf, LevelPlan *plan);
 
     /**
-     * Bulk-load one block during initial ORAM construction: place it as
-     * deep as possible within its residence set (stash as last resort).
+     * Initial ORAM construction: load every block at its posmap leaf,
+     * as deep as it fits within its residence set (TreeStore::build,
+     * sibling pairs in sibling mode), and stash the root's overflow in
+     * block-id order. The tree must be untouched.
      */
-    void plant(BlockId block, Leaf leaf, std::uint64_t payload = 0);
+    void prefill(const PosMap &posmap);
 
     std::uint64_t payloadOf(BlockId block) const;
     void setPayload(BlockId block, std::uint64_t value);

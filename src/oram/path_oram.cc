@@ -29,7 +29,7 @@ PathOram::PathOram(const ProtocolConfig &config)
             blocks[level], params.numLeaves,
             mix64(config.seed + 877 * level));
         if (config.prefill && blocks[level] <= kPrefillLimit)
-            prefillEngine(*engines_[level], *posMaps_[level]);
+            engines_[level]->prefill(*posMaps_[level]);
         base = engines_[level]->layout().endAddr();
     }
 }

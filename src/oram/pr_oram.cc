@@ -39,7 +39,7 @@ PrOram::PrOram(const ProtocolConfig &config)
             blocks[level], params.numLeaves,
             mix64(config.seed + 733 * level), group);
         if (config.prefill && blocks[level] <= kPrefillLimit)
-            prefillEngine(*engines_[level], *posMaps_[level]);
+            engines_[level]->prefill(*posMaps_[level]);
         base = engines_[level]->layout().endAddr();
     }
 }

@@ -25,12 +25,16 @@
  *
  * Bucket state is exposed through Bucket / ConstBucket views (plain
  * {store, index} pairs) that carry the old NodeMeta member API.
+ *
+ * A prefilled tree is built in bulk by build(), level by level from
+ * the leaves up, instead of placing blocks one path walk at a time.
  */
 
 #ifndef PALERMO_ORAM_TREE_STORE_HH
 #define PALERMO_ORAM_TREE_STORE_HH
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/flat_map.hh"
@@ -43,10 +47,19 @@
 
 namespace palermo {
 
+class PosMap;
+
 /** Container of materialized bucket states for one ORAM tree. */
 class TreeStore
 {
   public:
+    /** Block-id type of build()'s sort buffers (4 bytes per block). */
+    using BuildId = std::uint32_t;
+
+    /** Largest tree build() can load: every block id fits a BuildId. */
+    static constexpr std::uint64_t kMaxBuildBlocks =
+        std::uint64_t{std::numeric_limits<BuildId>::max()};
+
     /** Slot-state sentinel: untouched dummy. */
     static constexpr std::uint64_t kDummySlot = kInvalid;
     /** Slot-state sentinel: consumed (real or dummy) this epoch. */
@@ -210,33 +223,6 @@ class TreeStore
             store_->accessed_[index_] = 0;
         }
 
-        /**
-         * Bulk-load: place one block into a free dummy slot if the
-         * bucket still has real capacity. Used only for initial ORAM
-         * construction (the protocol itself always rebuilds whole
-         * buckets).
-         * @return true if placed.
-         */
-        bool
-        tryPlace(const BlockContent &content)
-        {
-            palermo_assert(content.block < kUsedSlot);
-            if (validRealCount() >= capacity())
-                return false;
-            std::uint64_t *ids = slotBlocks();
-            const std::uint64_t base = store_->slotBase_[index_];
-            const unsigned n = slots();
-            for (unsigned i = 0; i < n; ++i) {
-                if (ids[i] == kDummySlot) {
-                    ids[i] = content.block;
-                    store_->slotPayload_[base + i] = content.payload;
-                    store_->slotLeaf_[base + i] = content.leaf;
-                    return true;
-                }
-            }
-            return false;
-        }
-
         /** True if a path read here would find no usable dummy. */
         bool
         needsReset() const
@@ -248,6 +234,16 @@ class TreeStore
                     return false;
             }
             return true;
+        }
+
+        /** Raw state of one slot (block may be a slot-state sentinel). */
+        BlockContent
+        slotContent(unsigned slot) const
+        {
+            palermo_assert(slot < slots());
+            const std::uint64_t at = store_->slotBase_[index_] + slot;
+            return {store_->slotBlock_[at], store_->slotPayload_[at],
+                    store_->slotLeaf_[at]};
         }
 
       private:
@@ -288,6 +284,11 @@ class TreeStore
         unsigned validRealCount() const { return view().validRealCount(); }
         int slotOf(BlockId block) const { return view().slotOf(block); }
         bool needsReset() const { return view().needsReset(); }
+        BlockContent
+        slotContent(unsigned slot) const
+        {
+            return view().slotContent(slot);
+        }
 
       private:
         Bucket
@@ -302,6 +303,25 @@ class TreeStore
     };
 
     explicit TreeStore(const OramParams &params);
+
+    /**
+     * Load every block of an untouched tree at its posmap leaf, as deep
+     * on its path as it fits: the state a greedy fill in block-id order
+     * (deepest free bucket first, stash last) leaves behind, with the
+     * same slots, the same materialized nodes and the same overflow.
+     *
+     * Built bottom-up in one pass per level: a stable counting sort of
+     * block ids by leaf; each leaf bucket keeps its first capacity ids;
+     * each node above merges its children's overflow in id order and
+     * keeps its first capacity ids. With `sibling_pairs` (PageORAM's
+     * residence set) the two children of a node share their arrivals:
+     * a block tries its own bucket, then the sibling, then moves up.
+     * The root never pairs.
+     *
+     * @return Block ids that overflowed the root, in id order (the
+     *         caller stashes them).
+     */
+    std::vector<BlockId> build(const PosMap &posmap, bool sibling_pairs);
 
     /** Get (materializing if needed) the bucket state of a node. */
     Bucket
@@ -346,6 +366,9 @@ class TreeStore
      */
     static constexpr std::uint64_t kDirectNodes = std::uint64_t{1} << 18;
 
+    /** build()'s first sort pass partitions by this many top leaf bits. */
+    static constexpr unsigned kSortRadixBits = 8;
+
     std::uint32_t
     lookup(NodeId id) const
     {
@@ -357,6 +380,25 @@ class TreeStore
     }
 
     std::uint32_t materialize(NodeId id);
+
+    /**
+     * build() step for the two children of one node at `level`: place
+     * their arrival lists `left`/`right` (id-sorted) and append the
+     * overflow, id-sorted, to `up`.
+     */
+    void placePair(unsigned level, std::uint64_t pair, bool sibling_pairs,
+                   const BuildId *left, const BuildId *left_end,
+                   const BuildId *right, const BuildId *right_end,
+                   const PosMap &posmap, std::vector<BuildId> *up);
+
+    /** Write block `id` into slot `slot` of a fresh bucket. */
+    void
+    placeAt(std::uint32_t index, unsigned slot, BuildId id, Leaf leaf)
+    {
+        const std::uint64_t at = slotBase_[index] + slot;
+        slotBlock_[at] = id;
+        slotLeaf_[at] = leaf;
+    }
 
     OramParams params_;
     PoolResource pool_; ///< Declared before tail_ (destruction order).

@@ -15,6 +15,8 @@
  *     below (1 - tolerance) x baseline; heap_allocs_per_request and
  *     peak_rss_mb may not exceed (1 + tolerance) x baseline (+ an
  *     absolute slack for allocs, where the baseline is near zero).
+ *     construct_seconds (session construction, i.e. tree prefill) is
+ *     not gated; --markdown shows it when both documents carry it.
  *
  * Points are matched by id; the fresh run may cover a subset of the
  * baseline grid (CI runs the small sizes only), but every fresh point
@@ -249,6 +251,8 @@ struct MarkdownRow
     double baseRps = -1.0;
     double freshAllocs = -1.0;
     double freshRss = -1.0;
+    double freshConstruct = -1.0; ///< construct_seconds, -1 if absent.
+    double baseConstruct = -1.0;
     bool ok = true;
 };
 
@@ -261,22 +265,34 @@ writeMarkdown(const std::string &path,
     std::ofstream out(path);
     if (!out)
         return false;
+    // Construction time is informational: shown only when both
+    // documents measured it.
+    bool construct = false;
+    for (const MarkdownRow &row : rows)
+        construct |= row.freshConstruct >= 0.0 && row.baseConstruct >= 0.0;
     out << "### bench_sim_speed vs committed baseline\n\n";
     out << "| point | req/s | baseline req/s | speedup | allocs/req "
-        << "| peak RSS (MiB) | status |\n";
-    out << "|---|---:|---:|---:|---:|---:|---|\n";
+        << "| peak RSS (MiB) |"
+        << (construct ? " construct (s) | baseline construct (s) |" : "")
+        << " status |\n";
+    out << "|---|---:|---:|---:|---:|---:|"
+        << (construct ? "---:|---:|" : "") << "---|\n";
     for (const MarkdownRow &row : rows) {
         char line[256];
         const double speedup = row.baseRps > 0.0 && row.freshRps >= 0.0
             ? row.freshRps / row.baseRps
             : 0.0;
         std::snprintf(line, sizeof(line),
-                      "| `%s` | %.1f | %.1f | %.2fx | %.2f | %.1f "
-                      "| %s |\n",
+                      "| `%s` | %.1f | %.1f | %.2fx | %.2f | %.1f |",
                       row.id.c_str(), row.freshRps, row.baseRps,
-                      speedup, row.freshAllocs, row.freshRss,
-                      row.ok ? "ok" : "**FAIL**");
+                      speedup, row.freshAllocs, row.freshRss);
         out << line;
+        if (construct) {
+            std::snprintf(line, sizeof(line), " %.3f | %.3f |",
+                          row.freshConstruct, row.baseConstruct);
+            out << line;
+        }
+        out << " " << (row.ok ? "ok" : "**FAIL**") << " |\n";
     }
     out << "\n";
     if (failure_count != 0) {
@@ -463,6 +479,10 @@ main(int argc, char **argv)
         row.baseRps = base_rps;
         row.freshAllocs = fresh_allocs;
         row.freshRss = fresh_rss;
+        row.freshConstruct =
+            lookup(fresh_derived, speedKey("construct_seconds"));
+        row.baseConstruct =
+            lookup(base_derived, speedKey("construct_seconds"));
         row.ok = failures == failures_before;
         markdown_rows.push_back(row);
     }
