@@ -53,6 +53,33 @@ BM_DramLoadedTick(benchmark::State &state)
 }
 BENCHMARK(BM_DramLoadedTick);
 
+/**
+ * Per-tick cost in the regime palermo-b22 runs in: about 26 requests
+ * outstanding per channel, 30% of them writes, so both queues, the
+ * write drain and the read/write turnarounds stay in play.
+ */
+void
+BM_DramMixedTick(benchmark::State &state)
+{
+    const DramConfig config = benchConfig();
+    DramSystem dram(config);
+    Rng rng(3);
+    const std::uint64_t lines = config.org.capacityBytes() / kBlockBytes;
+    const std::size_t outstanding = 26 * config.org.channels;
+    std::uint64_t issued = 0;
+    for (auto _ : state) {
+        while (dram.occupancy() < outstanding
+               && dram.enqueue(rng.range(lines) * kBlockBytes,
+                               rng.chance(0.3), issued)) {
+            ++issued;
+        }
+        dram.tick();
+        benchmark::DoNotOptimize(dram.drainCompletions());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(issued));
+}
+BENCHMARK(BM_DramMixedTick);
+
 void
 BM_DramStreamingThroughput(benchmark::State &state)
 {

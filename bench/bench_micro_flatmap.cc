@@ -3,10 +3,9 @@
  * google-benchmark micros for FlatMap vs the pooled std::unordered_map
  * it replaced on the simulator hot path. Three access patterns at the
  * sizes the simulator actually sees: stash-scale churn (hundreds of
- * entries, insert/erase balanced), posmap-tail-scale lookups (tens of
- * thousands of entries, read-mostly), and the row-want pattern
- * (handfuls of entries, counter bump then erase). Run side by side,
- * the pairs justify — and guard — the flat-layout migration.
+ * entries, insert/erase balanced) and posmap-tail-scale lookups (tens
+ * of thousands of entries, read-mostly). Run side by side, the pairs
+ * justify — and guard — the flat-layout migration.
  */
 
 #include <benchmark/benchmark.h>
@@ -120,47 +119,6 @@ BM_StdMapLookup(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StdMapLookup)->Arg(256)->Arg(65536);
-
-/**
- * Counter bump then conditional erase: the Channel::rowWant_ pattern —
- * a small table where every enqueue increments and every dequeue
- * decrements-and-maybe-erases.
- */
-void
-BM_FlatMapCounter(benchmark::State &state)
-{
-    PoolResource pool;
-    FlatMap<std::uint64_t, std::uint64_t> map(&pool);
-    Rng rng(2);
-    for (auto _ : state) {
-        const std::uint64_t key = rng.range(64);
-        ++map[key];
-        const std::uint64_t victim = rng.range(64);
-        const auto it = map.find(victim);
-        if (it != map.end() && --it->second == 0)
-            map.erase(it);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FlatMapCounter);
-
-void
-BM_StdMapCounter(benchmark::State &state)
-{
-    PoolResource pool;
-    PooledStdMap map = makeStdMap(&pool);
-    Rng rng(2);
-    for (auto _ : state) {
-        const std::uint64_t key = rng.range(64);
-        ++map[key];
-        const std::uint64_t victim = rng.range(64);
-        const auto it = map.find(victim);
-        if (it != map.end() && --it->second == 0)
-            map.erase(it);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StdMapCounter);
 
 } // namespace
 

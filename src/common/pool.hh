@@ -12,7 +12,7 @@
  * SimSession.
  *
  * Thread safety: none, by ownership. Each PoolResource is owned by one
- * component (a Stash, a Channel, a controller) and only ever touched
+ * component (a Stash, a TreeStore, a controller) and only ever touched
  * by the thread stepping the session that owns that component. A
  * session is stepped on one thread, and SweepRunner parallelism is
  * across sessions, so no pool is ever shared between concurrent

@@ -1,16 +1,34 @@
 /**
  * @file
- * FR-FCFS scheduling, write-drain hysteresis, tRRD/tFAW windows,
- * CAS-to-CAS gating, and refresh for one DDR4 channel.
+ * FR-FCFS scheduling over slot-mask queues, the per-channel wake tick,
+ * write-drain hysteresis, tRRD/tFAW windows, CAS-to-CAS gating, and
+ * refresh for one DDR4 channel.
  */
 
 #include "mem/channel.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 
 namespace palermo {
+
+namespace {
+
+constexpr std::uint64_t
+bit(unsigned index)
+{
+    return std::uint64_t{1} << index;
+}
+
+unsigned
+lowest(std::uint64_t mask)
+{
+    return static_cast<unsigned>(std::countr_zero(mask));
+}
+
+} // namespace
 
 void
 ChannelStats::reset()
@@ -29,71 +47,59 @@ ChannelStats::reset()
     readLatency.reset();
 }
 
+void
+Channel::Queue::push(const Entry &e, bool hit)
+{
+    const std::uint64_t slot = bit(static_cast<unsigned>(slots.size()));
+    slots.push_back(e);
+    bankSlots[e.flatBank] |= slot;
+    banks |= bit(e.flatBank);
+    if (hit)
+        hitSlots |= slot;
+}
+
+void
+Channel::Queue::erase(unsigned slot)
+{
+    const unsigned flat_bank = slots[slot].flatBank;
+    slots.erase(slots.begin() + slot);
+    // Keep the bits below the slot, shift the ones above it down.
+    const std::uint64_t below = bit(slot) - 1;
+    auto squeeze = [below](std::uint64_t mask) {
+        return (mask & below) | ((mask >> 1) & ~below);
+    };
+    hitSlots = squeeze(hitSlots);
+    for (std::uint64_t m = banks; m != 0; m &= m - 1) {
+        std::uint64_t &mask = bankSlots[lowest(m)];
+        mask = squeeze(mask);
+    }
+    if (bankSlots[flat_bank] == 0)
+        banks &= ~bit(flat_bank);
+}
+
 Channel::Channel(const DramOrg &org, const DramTiming &timing,
                  unsigned queue_depth)
     : org_(org), timing_(timing), queueDepth_(queue_depth),
-      banks_(org.banksPerChannel()),
-      readQueue_(PoolAllocator<Entry>(&pool_)),
-      writeQueue_(PoolAllocator<Entry>(&pool_)),
-      rowWant_(&pool_),
-      openRowWant_(org.banksPerChannel(), 0),
-      bankWant_(org.banksPerChannel(), 0),
-      actWindow_(PoolAllocator<Tick>(&pool_)),
+      banks_(org.banksPerChannel()), bankGroup_(org.banksPerChannel()),
       nextRefresh_(timing.tREFI),
       drainHigh_(std::max(2u, queue_depth * 3 / 4)),
       drainLow_(std::max(1u, queue_depth / 4))
 {
-}
-
-bool
-Channel::canEnqueue(bool is_write) const
-{
-    const auto &queue = is_write ? writeQueue_ : readQueue_;
-    return queue.size() < queueDepth_;
-}
-
-void
-Channel::trackEnqueue(const Entry &e)
-{
-    ++rowWant_[rowKey(e.flatBank, e.dec.row)];
-    ++bankWant_[e.flatBank];
-    const Bank &bank = banks_[e.flatBank];
-    if (!bank.isOpen()) {
-        ++closedBankWant_;
-    } else if (bank.openRow() == e.dec.row) {
-        ++openRowWant_[e.flatBank];
-        ++rowHitWant_;
+    palermo_assert(queue_depth >= 1 && queue_depth <= 64,
+                   "queue depth must fit a 64-bit slot mask");
+    palermo_assert(banks_.size() <= 64,
+                   "banks per channel must fit a 64-bit bank mask");
+    for (unsigned b = 0; b < bankGroup_.size(); ++b)
+        bankGroup_[b] = (b / org.banksPerGroup) % org.bankGroups;
+    for (Queue *queue : {&readQueue_, &writeQueue_}) {
+        queue->slots.reserve(queue_depth);
+        queue->bankSlots.assign(banks_.size(), 0);
     }
-    resetScanMemos();
-}
-
-void
-Channel::trackDequeue(const Entry &e)
-{
-    const auto it = rowWant_.find(rowKey(e.flatBank, e.dec.row));
-    if (--it->second == 0)
-        rowWant_.erase(it);
-    --bankWant_[e.flatBank];
-    const Bank &bank = banks_[e.flatBank];
-    if (!bank.isOpen()) {
-        --closedBankWant_;
-    } else if (bank.openRow() == e.dec.row) {
-        --openRowWant_[e.flatBank];
-        --rowHitWant_;
-    }
-    resetScanMemos();
-}
-
-void
-Channel::closeRow(std::size_t flat_bank, Tick now)
-{
-    banks_[flat_bank].precharge(now, timing_);
-    // Open -> closed: the bank's row-hit entries (if any) and its
-    // mismatched entries all become closed-bank demand.
-    rowHitWant_ -= openRowWant_[flat_bank];
-    openRowWant_[flat_bank] = 0;
-    closedBankWant_ += bankWant_[flat_bank];
-    resetScanMemos();
+    // Unfinished bursts end within the longest CAS latency plus one
+    // burst of now and never overlap, so this ring never overflows.
+    const unsigned burst = std::max(1u, timing.tBL);
+    bursts_.resize(std::bit_ceil(
+        (std::max(timing.tCL, timing.tCWL) + burst) / burst + 2u));
 }
 
 bool
@@ -101,42 +107,50 @@ Channel::enqueue(const DecodedAddr &dec, bool is_write, std::uint64_t tag,
                  Tick now)
 {
     const unsigned flat_bank = dec.flatBank(org_);
-    if (is_write) {
-        // Coalesce with an already-queued write to the same line.
-        for (auto &entry : writeQueue_) {
-            if (entry.dec.row == dec.row && entry.dec.column == dec.column
-                && entry.flatBank == flat_bank) {
-                stats_.coalescedWrites.inc();
-                return true;
-            }
+    // A line still pending in the write queue absorbs a write to it
+    // (coalescing) and serves a read of it (the hardware controller's
+    // store-to-load forwarding). Forwarding is what lets Palermo's east
+    // sibling read data whose ER writes were issued but not committed.
+    for (std::uint64_t m = writeQueue_.bankSlots[flat_bank]; m != 0;
+         m &= m - 1) {
+        const Entry &entry = writeQueue_.slots[lowest(m)];
+        if (entry.row != dec.row || entry.column != dec.column)
+            continue;
+        if (is_write) {
+            stats_.coalescedWrites.inc();
+            return true;
         }
-        if (writeQueue_.size() >= queueDepth_)
-            return false;
-        writeQueue_.push_back({dec, tag, now, flat_bank});
-        trackEnqueue(writeQueue_.back());
-        stats_.writes.inc();
+        stats_.forwardedReads.inc();
+        stats_.reads.inc();
+        completions_.push_back({tag, now + timing_.tCL, true});
+        stats_.readLatency.sample(static_cast<double>(timing_.tCL));
         return true;
     }
 
-    // Read: forward from the write queue when the line is still pending
-    // there (the hardware controller's store-to-load forwarding). This is
-    // what lets Palermo's east sibling read data whose ER writes were
-    // issued but not yet committed to the array.
-    for (const auto &entry : writeQueue_) {
-        if (entry.dec.row == dec.row && entry.dec.column == dec.column
-            && entry.flatBank == flat_bank) {
-            stats_.forwardedReads.inc();
-            stats_.reads.inc();
-            const Tick finish = now + timing_.tCL;
-            completions_.push_back({tag, finish, true});
-            stats_.readLatency.sample(static_cast<double>(timing_.tCL));
-            return true;
-        }
-    }
-    if (readQueue_.size() >= queueDepth_)
+    Queue &queue = is_write ? writeQueue_ : readQueue_;
+    if (queue.slots.size() >= queueDepth_)
         return false;
-    readQueue_.push_back({dec, tag, now, flat_bank});
-    trackEnqueue(readQueue_.back());
+    const Bank &bank = banks_[flat_bank];
+    const bool hit = bank.isOpen() && bank.openRow() == dec.row;
+    queue.push({dec.row, tag, now, dec.column,
+                static_cast<std::uint8_t>(flat_bank)},
+               hit);
+    if (is_write)
+        stats_.writes.inc();
+
+    // Lower the wake to this entry's own deadline. A mismatch on a bank
+    // whose open row is wanted waits for those hits, which already bound
+    // the wake.
+    Tick ready = kInvalid;
+    if (hit) {
+        wantedBanks_ |= bit(flat_bank);
+        ready = columnReadyAt(flat_bank, is_write);
+    } else if (!bank.isOpen()) {
+        ready = activateReadyAt(flat_bank);
+    } else if (!(wantedBanks_ & bit(flat_bank))) {
+        ready = bank.nextPreAt();
+    }
+    wakeAt_ = std::min(wakeAt_, ready);
     return true;
 }
 
@@ -147,12 +161,13 @@ Channel::tick(Tick now)
     stats_.queueOccupancy.accumulate(
         static_cast<double>(occupancy()), 1);
 
-    // Retire due bus events to maintain the instantaneous activity flag.
-    while (!busEvents_.empty() && busEvents_.top().tick <= now) {
-        activeTransfers_ += busEvents_.top().delta;
-        busEvents_.pop();
+    // Retire finished bursts to maintain the instantaneous activity flag.
+    const std::size_t ring = bursts_.size() - 1;
+    while (burstCount_ > 0 && bursts_[burstHead_].end <= now) {
+        burstHead_ = (burstHead_ + 1) & ring;
+        --burstCount_;
     }
-    busActiveNow_ = activeTransfers_ > 0;
+    busActiveNow_ = burstCount_ > 0 && bursts_[burstHead_].start <= now;
     if (busActiveNow_)
         stats_.busBusyTicks.inc();
 
@@ -162,25 +177,26 @@ Channel::tick(Tick now)
     }
 
     // Write drain hysteresis.
+    const std::size_t reads = readQueue_.slots.size();
+    const std::size_t writes = writeQueue_.slots.size();
     if (!writeMode_) {
-        if (writeQueue_.size() >= drainHigh_
-            || (readQueue_.empty() && !writeQueue_.empty())) {
+        if (writes >= drainHigh_ || (reads == 0 && writes != 0))
             writeMode_ = true;
-        }
     } else {
-        if (writeQueue_.size() <= drainLow_
-            || (writeQueue_.empty() && !readQueue_.empty())) {
+        if (writes <= drainLow_ || (writes == 0 && reads != 0))
             writeMode_ = false;
-        }
     }
 
-    if (writeMode_) {
-        if (!trySchedule(now, writeQueue_, true))
-            trySchedule(now, readQueue_, false);
-    } else {
-        if (!trySchedule(now, readQueue_, false))
-            trySchedule(now, writeQueue_, true);
-    }
+    if (now < wakeAt_)
+        return;
+    Tick wake = kInvalid;
+    const bool issued = writeMode_
+        ? trySchedule(now, writeQueue_, true, wake)
+            || trySchedule(now, readQueue_, false, wake)
+        : trySchedule(now, readQueue_, false, wake)
+            || trySchedule(now, writeQueue_, true, wake);
+    // After a command every gate may have moved: look again next tick.
+    wakeAt_ = issued ? now + 1 : wake;
 }
 
 std::uint64_t
@@ -198,19 +214,17 @@ void
 Channel::handleRefresh(Tick now)
 {
     refreshPending_ = true;
+    wakeAt_ = 0;
     // Close open banks as their precharge constraints allow, then issue
     // the all-bank refresh.
-    bool any_open = false;
-    for (std::size_t b = 0; b < banks_.size(); ++b) {
-        if (banks_[b].isOpen()) {
-            any_open = true;
-            if (banks_[b].canPrecharge(now)) {
+    if (openBanks_ != 0) {
+        for (std::uint64_t m = openBanks_; m != 0; m &= m - 1) {
+            const unsigned b = lowest(m);
+            if (banks_[b].canPrecharge(now))
                 closeRow(b, now);
-            }
         }
-    }
-    if (any_open)
         return;
+    }
     for (auto &bank : banks_)
         bank.refresh(now, timing_);
     stats_.refreshes.inc();
@@ -218,83 +232,61 @@ Channel::handleRefresh(Tick now)
     nextRefresh_ = now + timing_.tREFI;
 }
 
-bool
-Channel::rowWanted(std::uint64_t flat_bank, std::uint64_t row) const
+Tick
+Channel::columnReadyAt(unsigned flat_bank, bool is_write) const
 {
-    // Exact mirror of a scan over both queues: rowWant_ counts every
-    // queued entry by (flat bank, row). Callers asking about a bank's
-    // currently open row take the incremental per-bank count instead
-    // (openRowWant_, maintained by trackEnqueue/trackDequeue and
-    // re-derived from this table on each ACT).
-    return rowWant_.contains(rowKey(flat_bank, row));
-}
-
-bool
-Channel::casTimingOk(Tick now, const Entry &e, bool is_write) const
-{
-    const Bank &bank = banks_[e.flatBank];
-    if (!bank.isOpen() || bank.openRow() != e.dec.row)
-        return false;
-    if (!bank.canColumn(now, is_write))
-        return false;
+    Tick at = banks_[flat_bank].nextColumnAt(is_write);
+    const unsigned group = bankGroup_[flat_bank];
     // CAS-to-CAS spacing.
     if (lastCasValid_) {
-        const unsigned gap = (e.dec.bankGroup == lastCasBankGroup_)
+        const unsigned gap = group == lastCasBankGroup_
             ? timing_.tCCD_L : timing_.tCCD_S;
-        if (now < lastCas_ + gap)
-            return false;
+        at = std::max(at, lastCas_ + gap);
     }
     // Write-to-read turnaround.
     if (!is_write && lastWriteValid_) {
-        const unsigned wtr = (e.dec.bankGroup == lastWriteBankGroup_)
+        const unsigned wtr = group == lastWriteBankGroup_
             ? timing_.tWTR_L : timing_.tWTR_S;
-        if (now < lastWriteDataEnd_ + wtr)
-            return false;
+        at = std::max(at, lastWriteDataEnd_ + wtr);
     }
     // Data bus must be free when this burst would start.
-    const Tick data_start = now + (is_write ? timing_.tCWL : timing_.tCL);
-    if (data_start < busFreeAt_)
-        return false;
-    return true;
+    const Tick cas_lat = is_write ? timing_.tCWL : timing_.tCL;
+    if (busFreeAt_ > cas_lat)
+        at = std::max(at, busFreeAt_ - cas_lat);
+    return at;
 }
 
-bool
-Channel::actTimingOk(Tick now, const Entry &e) const
+Tick
+Channel::activateReadyAt(unsigned flat_bank) const
 {
-    // tRRD_S and tFAW are entry-independent; tryActivate checks them
-    // once before scanning.
-    const Bank &bank = banks_[e.flatBank];
-    if (!bank.canActivate(now))
-        return false;
-    if (lastActValid_ && e.dec.bankGroup == lastActBankGroup_
-        && now < lastAct_ + timing_.tRRD_L) {
-        return false;
+    Tick at = banks_[flat_bank].nextActAt();
+    if (lastActValid_) {
+        const unsigned rrd = bankGroup_[flat_bank] == lastActBankGroup_
+            ? std::max(timing_.tRRD_L, timing_.tRRD_S) : timing_.tRRD_S;
+        at = std::max(at, lastAct_ + rrd);
     }
-    return true;
+    if (actCount_ == actWindow_.size())
+        at = std::max(at, actWindow_[actNext_] + timing_.tFAW);
+    return at;
 }
 
 void
-Channel::scheduleBusBeat(Tick start, Tick end)
-{
-    busEvents_.push({start, +1});
-    busEvents_.push({end, -1});
-    busFreeAt_ = end;
-}
-
-void
-Channel::recordCas(Tick now, Entry &e, bool is_write)
+Channel::recordCas(Tick now, const Entry &e, bool is_write)
 {
     lastCas_ = now;
-    lastCasBankGroup_ = e.dec.bankGroup;
+    lastCasBankGroup_ = bankGroup_[e.flatBank];
     lastCasValid_ = true;
 
     const Tick data_start = now + (is_write ? timing_.tCWL : timing_.tCL);
     const Tick data_end = data_start + timing_.tBL;
-    scheduleBusBeat(data_start, data_end);
+    palermo_assert(burstCount_ < bursts_.size());
+    bursts_[(burstHead_ + burstCount_++) & (bursts_.size() - 1)] =
+        {data_start, data_end};
+    busFreeAt_ = data_end;
 
     if (is_write) {
         lastWriteDataEnd_ = data_end;
-        lastWriteBankGroup_ = e.dec.bankGroup;
+        lastWriteBankGroup_ = bankGroup_[e.flatBank];
         lastWriteValid_ = true;
     }
 
@@ -307,219 +299,131 @@ Channel::recordCas(Tick now, Entry &e, bool is_write)
         stats_.rowHits.inc();
 }
 
-bool
-Channel::tryColumn(Tick now, EntryQueue &queue, bool is_write)
+void
+Channel::openRow(unsigned flat_bank, std::uint64_t row, Tick now)
 {
-    // No queued entry anywhere targets an open row: nothing can pass
-    // casTimingOk's open-row check, skip the scan.
-    if (rowHitWant_ == 0)
-        return false;
-    // Every row hit was timing-blocked at the last failed scan and no
-    // tracked event has moved a deadline earlier since.
-    if (now < (is_write ? casRetryWrite_ : casRetryRead_))
-        return false;
-    // Entry-independent gates, hoisted out of the scan: no entry can
-    // pass casTimingOk while the shortest CAS-to-CAS gap is pending or
-    // the data bus is reserved past this burst's start.
-    if (lastCasValid_
-        && now < lastCas_ + std::min(timing_.tCCD_L, timing_.tCCD_S)) {
-        return false;
-    }
-    const Tick cas_lat = is_write ? timing_.tCWL : timing_.tCL;
-    if (now + cas_lat < busFreeAt_)
-        return false;
-
-    // Earliest tick a row hit of this queue clears every CAS gate,
-    // piggy-backed on the scan for the casRetry memo.
-    Tick earliest = kInvalid;
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-        const Entry &cand = *it;
-        // Only row hits matter; one counter load filters the rest.
-        if (openRowWant_[cand.flatBank] == 0)
-            continue;
-        const Bank &bank = banks_[cand.flatBank];
-        if (bank.openRow() != cand.dec.row)
-            continue;
-        if (!casTimingOk(now, cand, is_write)) {
-            Tick at = bank.nextColumnAt(is_write);
-            if (lastCasValid_) {
-                const unsigned gap =
-                    (cand.dec.bankGroup == lastCasBankGroup_)
-                    ? timing_.tCCD_L : timing_.tCCD_S;
-                at = std::max(at, lastCas_ + gap);
+    banks_[flat_bank].activate(now, row, timing_);
+    openBanks_ |= bit(flat_bank);
+    for (Queue *queue : {&readQueue_, &writeQueue_}) {
+        for (std::uint64_t m = queue->bankSlots[flat_bank]; m != 0;
+             m &= m - 1) {
+            const unsigned slot = lowest(m);
+            if (queue->slots[slot].row == row) {
+                queue->hitSlots |= bit(slot);
+                wantedBanks_ |= bit(flat_bank);
             }
-            if (!is_write && lastWriteValid_) {
-                const unsigned wtr =
-                    (cand.dec.bankGroup == lastWriteBankGroup_)
-                    ? timing_.tWTR_L : timing_.tWTR_S;
-                at = std::max(at, lastWriteDataEnd_ + wtr);
-            }
-            if (busFreeAt_ > cas_lat)
-                at = std::max(at, busFreeAt_ - cas_lat);
-            earliest = std::min(earliest, at);
-            continue;
         }
-        Entry entry = *it;
-        banks_[entry.flatBank].column(now, is_write, timing_);
-        recordCas(now, entry, is_write);
-        if (!is_write) {
-            const Tick finish = now + timing_.tCL + timing_.tBL;
-            completions_.push_back({entry.tag, finish, false});
-            stats_.reads.inc();
-            stats_.readLatency.sample(
-                static_cast<double>(finish - entry.enqueueTick));
-        }
-        trackDequeue(entry);
-        queue.erase(it);
-        return true;
     }
-    // Gating state only pushes deadlines later between tracked events,
-    // so "no hit in this queue can issue before `earliest`" holds until
-    // an event resets the memo. kInvalid when this queue holds no hits.
-    (is_write ? casRetryWrite_ : casRetryRead_) = earliest;
-    return false;
+    lastAct_ = now;
+    lastActBankGroup_ = bankGroup_[flat_bank];
+    lastActValid_ = true;
+    actWindow_[actNext_] = now;
+    actNext_ = (actNext_ + 1) % actWindow_.size();
+    actCount_ = std::min<unsigned>(actCount_ + 1, actWindow_.size());
+}
+
+void
+Channel::closeRow(unsigned flat_bank, Tick now)
+{
+    banks_[flat_bank].precharge(now, timing_);
+    openBanks_ &= ~bit(flat_bank);
+    wantedBanks_ &= ~bit(flat_bank);
+    readQueue_.hitSlots &= ~readQueue_.bankSlots[flat_bank];
+    writeQueue_.hitSlots &= ~writeQueue_.bankSlots[flat_bank];
 }
 
 bool
-Channel::tryActivate(Tick now, EntryQueue &queue)
+Channel::tryColumn(Tick now, Queue &queue, bool is_write, Tick &wake)
 {
-    // No queued entry anywhere sits on a closed bank: no ACT possible.
-    if (closedBankWant_ == 0)
-        return false;
-    // Entry-independent ACT gates (tRRD_S, tFAW), hoisted out of the
-    // scan; actTimingOk keeps the per-bank-group tRRD_L check.
-    if (lastActValid_ && now < lastAct_ + timing_.tRRD_S)
-        return false;
-    if (actWindow_.size() >= 4 && now < actWindow_.front() + timing_.tFAW)
-        return false;
-
-    for (auto &entry : queue) {
-        const Bank &bank = banks_[entry.flatBank];
-        if (bank.isOpen())
+    // Only row hits can take a CAS, and every gate depends on the bank
+    // alone: the oldest hit of all ready banks is the lowest bit of the
+    // union of their hit slots.
+    std::uint64_t ready = 0;
+    for (std::uint64_t m = queue.banks & wantedBanks_; m != 0; m &= m - 1) {
+        const unsigned b = lowest(m);
+        const std::uint64_t hits = queue.hitSlots & queue.bankSlots[b];
+        if (hits == 0)
             continue;
-        if (!actTimingOk(now, entry))
-            continue;
-        banks_[entry.flatBank].activate(now, entry.dec.row, timing_);
-        // Closed -> open: the bank's entries leave the closed-bank
-        // class; those matching the fresh row (exact count from the
-        // (bank, row) table — one probe per ACT) become row hits.
-        const std::uint32_t *want =
-            rowWant_.findValue(rowKey(entry.flatBank, entry.dec.row));
-        const std::uint32_t hits = want != nullptr ? *want : 0;
-        openRowWant_[entry.flatBank] = hits;
-        rowHitWant_ += hits;
-        closedBankWant_ -= bankWant_[entry.flatBank];
-        resetScanMemos();
-        entry.hadActivate = true;
-        lastAct_ = now;
-        lastActBankGroup_ = entry.dec.bankGroup;
-        lastActValid_ = true;
-        actWindow_.push_back(now);
-        if (actWindow_.size() > 4)
-            actWindow_.pop_front();
-        return true;
+        const Tick at = columnReadyAt(b, is_write);
+        if (at <= now)
+            ready |= hits;
+        else
+            wake = std::min(wake, at);
     }
-    return false;
+    if (ready == 0)
+        return false;
+    const unsigned slot = lowest(ready);
+    const Entry entry = queue.slots[slot];
+    banks_[entry.flatBank].column(now, is_write, timing_);
+    recordCas(now, entry, is_write);
+    if (!is_write) {
+        const Tick finish = now + timing_.tCL + timing_.tBL;
+        completions_.push_back({entry.tag, finish, false});
+        stats_.reads.inc();
+        stats_.readLatency.sample(
+            static_cast<double>(finish - entry.enqueueTick));
+    }
+    queue.erase(slot);
+    const std::uint64_t hits =
+        (readQueue_.hitSlots & readQueue_.bankSlots[entry.flatBank])
+        | (writeQueue_.hitSlots & writeQueue_.bankSlots[entry.flatBank]);
+    if (hits == 0)
+        wantedBanks_ &= ~bit(entry.flatBank);
+    return true;
 }
 
 bool
-Channel::tryPrecharge(Tick now, EntryQueue &queue, bool is_write)
+Channel::tryActivate(Tick now, Queue &queue, Tick &wake)
 {
-    // Precharge needs an entry whose bank is open at a different row —
-    // the class that is neither a row hit nor closed-bank demand. Empty
-    // class (counted across both queues): skip the scan.
-    if (readQueue_.size() + writeQueue_.size()
-        == rowHitWant_ + closedBankWant_) {
+    // Every entry of a ready closed bank may take the ACT; the oldest
+    // of them all is the lowest bit of the union.
+    std::uint64_t ready = 0;
+    for (std::uint64_t m = queue.banks & ~openBanks_; m != 0; m &= m - 1) {
+        const unsigned b = lowest(m);
+        const Tick at = activateReadyAt(b);
+        if (at <= now)
+            ready |= queue.bankSlots[b];
+        else
+            wake = std::min(wake, at);
+    }
+    if (ready == 0)
         return false;
-    }
-    // Every candidate bank was timing-blocked at the last failed sweep
-    // and nothing has changed since: the sweep cannot succeed yet.
-    if (now < preRetryAt_)
-        return false;
-    // Short queues: the entry-major scan touches fewer banks than a
-    // bank-major sweep would.
-    if (queue.size() <= 8) {
-        for (auto &entry : queue) {
-            Bank &bank = banks_[entry.flatBank];
-            if (!bank.isOpen() || bank.openRow() == entry.dec.row)
-                continue;
-            // FR-FCFS: do not close a row other requests still want.
-            if (openRowWanted(entry.flatBank))
-                continue;
-            if (!bank.canPrecharge(now))
-                continue;
-            closeRow(entry.flatBank, now);
-            entry.hadConflict = true;
-            return true;
-        }
-        (void)is_write;
-        return false;
-    }
-
-    // Bank-major scan: whether a bank may be closed is entry-independent
-    // (open, precharge timing met, open row wanted by no queued request —
-    // an entry whose row IS the open row keeps it wanted, so a flagged
-    // bank always mismatches every queued entry's row). The first entry
-    // in queue order whose bank is flagged is exactly the entry the
-    // original entry-major scan would have picked.
-    prechargeOk_.assign(banks_.size(), 0);
-    bool any = false;
-    // Piggy-backed on the sweep: earliest precharge deadline among
-    // demanded banks blocked only on timing, for the preRetryAt_ memo.
-    Tick earliest = kInvalid;
-    for (std::size_t b = 0; b < banks_.size(); ++b) {
-        // Banks nobody queues for can never match the entry scan below;
-        // leaving them unflagged also lets the memo arm while they sit
-        // open and idle.
-        if (bankWant_[b] == 0)
-            continue;
-        Bank &bank = banks_[b];
-        if (!bank.isOpen())
-            continue;
-        // FR-FCFS: do not close a row other requests still want.
-        if (openRowWanted(b))
-            continue;
-        if (!bank.canPrecharge(now)) {
-            earliest = std::min(earliest, bank.nextPreAt());
-            continue;
-        }
-        prechargeOk_[b] = 1;
-        any = true;
-    }
-    if (!any) {
-        (void)is_write;
-        // No bank is eligible now; none can become eligible before the
-        // earliest deadline absent a tracked event (which resets the
-        // memo). kInvalid when only an event can create a candidate.
-        preRetryAt_ = earliest;
-        return false;
-    }
-    for (auto &entry : queue) {
-        if (!prechargeOk_[entry.flatBank])
-            continue;
-        closeRow(entry.flatBank, now);
-        entry.hadConflict = true;
-        return true;
-    }
-    // Also mark conflicts for entries whose bank got closed on their
-    // behalf earlier: handled by hadConflict flag persistence. A flagged
-    // bank is eligible now (demand may sit in the other queue), so
-    // armPreRetry would not allow a skip — leave it disarmed.
-    return false;
+    Entry &entry = queue.slots[lowest(ready)];
+    entry.hadActivate = true;
+    openRow(entry.flatBank, entry.row, now);
+    return true;
 }
 
 bool
-Channel::trySchedule(Tick now, EntryQueue &queue, bool is_write)
+Channel::tryPrecharge(Tick now, Queue &queue, Tick &wake)
 {
-    if (queue.empty())
+    // A bank may close when it is open at a row no queued entry wants
+    // (FR-FCFS: do not close a row other requests still want); every
+    // entry queued for it then mismatches the open row.
+    std::uint64_t ready = 0;
+    for (std::uint64_t m = queue.banks & openBanks_ & ~wantedBanks_; m != 0;
+         m &= m - 1) {
+        const unsigned b = lowest(m);
+        const Tick at = banks_[b].nextPreAt();
+        if (at <= now)
+            ready |= queue.bankSlots[b];
+        else
+            wake = std::min(wake, at);
+    }
+    if (ready == 0)
         return false;
-    if (tryColumn(now, queue, is_write))
-        return true;
-    if (tryActivate(now, queue))
-        return true;
-    if (tryPrecharge(now, queue, is_write))
-        return true;
-    return false;
+    Entry &entry = queue.slots[lowest(ready)];
+    entry.hadConflict = true;
+    closeRow(entry.flatBank, now);
+    return true;
+}
+
+bool
+Channel::trySchedule(Tick now, Queue &queue, bool is_write, Tick &wake)
+{
+    return tryColumn(now, queue, is_write, wake)
+        || tryActivate(now, queue, wake)
+        || tryPrecharge(now, queue, wake);
 }
 
 } // namespace palermo

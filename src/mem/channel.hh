@@ -4,11 +4,15 @@
  * queues, write-drain hysteresis, write-to-read forwarding, bank timing,
  * tRRD/tFAW activate windows, CAS-to-CAS gating, and all-bank refresh.
  *
- * Channel independence: every mutable member of Channel — banks_, both
- * queues, rowWant_, completions_, the bus-event heap, refresh/drain
- * state, stats_, and the PoolResource backing the queue containers — is
- * owned exclusively by this channel, and `rowKey` is the only static (a
- * pure function). Channels never read or write each other's state, so
+ * Each queue is an age-ordered slot array of at most 64 entries, indexed
+ * by 64-bit slot masks: one per flat bank and one for row hits. The
+ * oldest eligible entry of a command class is the lowest set bit of a
+ * ready mask, so selection matches an age-ordered scan of the queue.
+ * A wake tick bounds when any queued entry could next pass its gates;
+ * ticks before it skip scheduling.
+ *
+ * Channel independence: every mutable member of Channel is owned by
+ * this channel. Channels never read or write each other's state, so
  * over a window with no enqueue and no completion delivery,
  * DramSystem::tickWindow may advance them one after another instead of
  * cycle by cycle. Everything runs on the thread stepping the session.
@@ -17,13 +21,10 @@
 #ifndef PALERMO_MEM_CHANNEL_HH
 #define PALERMO_MEM_CHANNEL_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <queue>
 #include <vector>
 
-#include "common/flat_map.hh"
-#include "common/pool.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/address_map.hh"
@@ -63,15 +64,14 @@ struct ChannelStats
 class Channel
 {
   public:
+    /** @param queue_depth Slots per queue, at most 64. */
     Channel(const DramOrg &org, const DramTiming &timing,
             unsigned queue_depth);
 
-    /** True if the relevant queue can accept another request. */
-    bool canEnqueue(bool is_write) const;
-
     /**
      * Enqueue a request whose address decodes to this channel.
-     * Reads that hit the write queue complete via forwarding.
+     * Reads that hit the write queue complete via forwarding; writes to
+     * a line already queued for writing coalesce into it.
      * @return false if the queue is full (caller must retry).
      */
     bool enqueue(const DecodedAddr &dec, bool is_write, std::uint64_t tag,
@@ -99,7 +99,7 @@ class Channel
      */
     bool readQuiescent() const
     {
-        return readQueue_.empty() && completions_.empty();
+        return readQueue_.slots.empty() && completions_.empty();
     }
 
     /** Drain completions produced so far (appended in finish order). */
@@ -111,125 +111,90 @@ class Channel
     /** Outstanding requests in both queues. */
     std::size_t occupancy() const
     {
-        return readQueue_.size() + writeQueue_.size();
+        return readQueue_.slots.size() + writeQueue_.slots.size();
     }
 
     ChannelStats &stats() { return stats_; }
     const ChannelStats &stats() const { return stats_; }
 
   private:
+    /** A queued request: the coordinates the scheduler needs. */
     struct Entry
     {
-        DecodedAddr dec;
+        std::uint64_t row;
         std::uint64_t tag;
         Tick enqueueTick;
-        unsigned flatBank; ///< Cached dec.flatBank(org_).
+        std::uint32_t column;
+        std::uint8_t flatBank;
         bool hadActivate = false;
         bool hadConflict = false;
     };
 
-    struct BusEvent
+    /**
+     * One request queue. slots[i] is the i-th oldest entry and bit i of
+     * every mask names it, so the lowest set bit of any mask is its
+     * oldest entry. Removing a slot squeezes the younger entries and
+     * every mask bit above it down by one.
+     */
+    struct Queue
     {
-        Tick tick;
-        int delta;
-        bool operator>(const BusEvent &o) const { return tick > o.tick; }
+        std::vector<Entry> slots;             ///< Reserved to queueDepth.
+        std::vector<std::uint64_t> bankSlots; ///< Per flat bank.
+        std::uint64_t hitSlots = 0; ///< Entries whose bank has their row open.
+        std::uint64_t banks = 0;    ///< Flat banks with a queued entry.
+
+        void push(const Entry &e, bool hit);
+        void erase(unsigned slot);
     };
 
-    /** Pool-backed request queue: deque chunks recycle across requests. */
-    using EntryQueue = std::deque<Entry, PoolAllocator<Entry>>;
+    /** A data burst occupying the bus over [start, end). */
+    struct Burst
+    {
+        Tick start;
+        Tick end;
+    };
 
-    // Scheduling helpers; each issues at most one command and returns
-    // true if a command went out this cycle.
-    bool trySchedule(Tick now, EntryQueue &queue, bool is_write);
-    bool tryColumn(Tick now, EntryQueue &queue, bool is_write);
-    bool tryActivate(Tick now, EntryQueue &queue);
-    bool tryPrecharge(Tick now, EntryQueue &queue, bool is_write);
+    // Scheduling passes; each issues at most one command and returns
+    // true if it did. A pass that issues nothing lowers `wake` to the
+    // earliest tick one of its candidates clears its gates.
+    bool trySchedule(Tick now, Queue &queue, bool is_write, Tick &wake);
+    bool tryColumn(Tick now, Queue &queue, bool is_write, Tick &wake);
+    bool tryActivate(Tick now, Queue &queue, Tick &wake);
+    bool tryPrecharge(Tick now, Queue &queue, Tick &wake);
     void handleRefresh(Tick now);
 
-    bool casTimingOk(Tick now, const Entry &e, bool is_write) const;
-    bool actTimingOk(Tick now, const Entry &e) const;
-    bool rowWanted(std::uint64_t flat_bank, std::uint64_t row) const;
+    /** Earliest tick a CAS to the bank's open row clears every gate. */
+    Tick columnReadyAt(unsigned flat_bank, bool is_write) const;
+    /** Earliest tick an ACT to the (closed) bank clears every gate. */
+    Tick activateReadyAt(unsigned flat_bank) const;
 
-    /** rowWanted for a bank's currently open row: one array read. */
-    bool openRowWanted(std::uint64_t flat_bank) const
-    {
-        return openRowWant_[flat_bank] > 0;
-    }
-    void recordCas(Tick now, Entry &e, bool is_write);
-    void scheduleBusBeat(Tick start, Tick end);
+    void recordCas(Tick now, const Entry &e, bool is_write);
 
-    /** Key of the queued-request count per (flat bank, row). */
-    static std::uint64_t rowKey(std::uint64_t flat_bank, std::uint64_t row)
-    {
-        return (row << 16) | flat_bank;
-    }
-    void trackEnqueue(const Entry &e);
-    void trackDequeue(const Entry &e);
-
-    /** Precharge a bank and reclassify its queued entries as
-     * closed-bank demand. Every open->closed transition goes through
-     * here so the scheduler-gate counters stay exact. */
-    void closeRow(std::size_t flat_bank, Tick now);
+    /** ACT/PRE bookkeeping: keep the row-hit masks exact. */
+    void openRow(unsigned flat_bank, std::uint64_t row, Tick now);
+    void closeRow(unsigned flat_bank, Tick now);
 
     const DramOrg org_;
     const DramTiming timing_;
     const unsigned queueDepth_;
 
-    /** Queued requests per (flat bank, row); exact rowWanted() lookup.
-     * Flat map: this is probed once per queue scan step, the hottest
-     * lookup in the DRAM model. Counts only — never iterated. */
-    using RowWantMap = FlatMap<std::uint64_t, std::uint32_t>;
-
     std::vector<Bank> banks_;
-    PoolResource pool_; ///< Backs the containers below; declared first.
-    EntryQueue readQueue_;
-    EntryQueue writeQueue_;
-    RowWantMap rowWant_;
-    /** Queued entries wanting each bank's open row (exact; see
-     * rowWanted). Zero for closed banks, recomputed on ACT. */
-    std::vector<std::uint32_t> openRowWant_;
-    /** Queued entries per flat bank, regardless of row. */
-    std::vector<std::uint32_t> bankWant_;
-    std::vector<std::uint8_t> prechargeOk_; ///< tryPrecharge scratch.
-
-    // Every queued entry is, at any instant, in exactly one scheduler
-    // class: row-hit (its bank is open at its row), closed-bank (CAS
-    // needs an ACT first), or open-row-mismatch (needs a PRE). The two
-    // counters below track the first two classes across both queues;
-    // the third is total-queued minus both. Each tryColumn/tryActivate/
-    // tryPrecharge scan bails out in O(1) when its class is empty, which
-    // is the common case on row-conflict-heavy ORAM traffic.
-    std::uint64_t rowHitWant_ = 0;    ///< Entries in the row-hit class.
-    std::uint64_t closedBankWant_ = 0; ///< Entries on closed banks.
-
-    /**
-     * Earliest tick the precharge sweep could succeed, memoized when a
-     * sweep comes up empty with every candidate bank blocked purely on
-     * tRAS/tRTP/tWR timing. Valid until any event that can change the
-     * candidate set — enqueue, dequeue, ACT, precharge — which all reset
-     * it to 0 (always sweep). Lets the per-tick scheduler skip the
-     * bank-major sweep across multi-tick timing windows.
-     */
-    Tick preRetryAt_ = 0;
-
-    /**
-     * Per-queue analogue of preRetryAt_ for the CAS scan: earliest tick
-     * any current row-hit entry of that queue could clear every CAS
-     * gate (tRCD/tCCD/tWTR/data bus), memoized on a failed scan. The
-     * gating state only pushes deadlines later between tracked events,
-     * so the memo stays a valid lower bound until one resets it.
-     */
-    Tick casRetryRead_ = 0;
-    Tick casRetryWrite_ = 0;
-
-    /** Reset the scheduler-scan memos (queue or bank state changed). */
-    void resetScanMemos()
-    {
-        preRetryAt_ = 0;
-        casRetryRead_ = 0;
-        casRetryWrite_ = 0;
-    }
+    std::vector<unsigned> bankGroup_; ///< Bank group of each flat bank.
+    std::uint64_t openBanks_ = 0;     ///< Flat banks with an open row.
+    /** Open banks whose row some queued entry wants: never precharged. */
+    std::uint64_t wantedBanks_ = 0;
+    Queue readQueue_;
+    Queue writeQueue_;
     std::vector<Completion> completions_;
+
+    /**
+     * No queued entry can pass its gates before this tick, so tick()
+     * skips scheduling until then. A tick that issues nothing sets it
+     * from its own passes; any issued command or refresh resets it, and
+     * an enqueue lowers it to the new entry's deadline. Between those
+     * events every gate deadline is fixed, so the bound stays exact.
+     */
+    Tick wakeAt_ = 0;
 
     // Channel-level gating state.
     Tick busFreeAt_ = 0;            ///< Data bus reserved through here.
@@ -242,7 +207,9 @@ class Channel
     Tick lastAct_ = 0;
     unsigned lastActBankGroup_ = 0;
     bool lastActValid_ = false;
-    std::deque<Tick, PoolAllocator<Tick>> actWindow_; ///< Last 4 ACTs (tFAW).
+    std::array<Tick, 4> actWindow_{}; ///< Last 4 ACTs (tFAW), a ring.
+    unsigned actNext_ = 0; ///< Next ring slot; the oldest ACT once full.
+    unsigned actCount_ = 0;
 
     // Refresh state.
     Tick nextRefresh_;
@@ -253,10 +220,13 @@ class Channel
     unsigned drainHigh_;
     unsigned drainLow_;
 
-    // Instantaneous data-bus activity tracking.
-    std::priority_queue<BusEvent, std::vector<BusEvent>,
-                        std::greater<BusEvent>> busEvents_;
-    int activeTransfers_ = 0;
+    /** Scheduled data bursts, oldest first, in a power-of-two ring. The
+     * CAS gate starts each burst at or after the previous one's end, so
+     * they never overlap and the oldest unfinished burst alone decides
+     * whether the bus is busy. */
+    std::vector<Burst> bursts_;
+    std::size_t burstHead_ = 0;
+    std::size_t burstCount_ = 0;
     bool busActiveNow_ = false;
 
     ChannelStats stats_;

@@ -45,13 +45,6 @@ DramSystem::DramSystem(const DramConfig &config)
 }
 
 bool
-DramSystem::canEnqueue(Addr addr, bool is_write) const
-{
-    const DecodedAddr dec = map_.decode(addr);
-    return channels_[dec.channel]->canEnqueue(is_write);
-}
-
-bool
 DramSystem::enqueue(Addr addr, bool is_write, std::uint64_t tag)
 {
     const DecodedAddr dec = map_.decode(addr);
@@ -96,11 +89,15 @@ DramSystem::drainCompletions()
     // issue + tCL + tBL, which is later than the CAS issue tick).
     for (auto &channel : channels_) {
         auto &list = channel->completions();
-        for (auto &completion : list)
+        for (const Completion &completion : list) {
             pending_.push_back(completion);
+            nextFinish_ = std::min(nextFinish_, completion.finishTick);
+        }
         list.clear();
     }
     ready_.clear();
+    if (nextFinish_ > now_)
+        return ready_;
     auto split = std::partition(
         pending_.begin(), pending_.end(),
         [this](const Completion &c) { return c.finishTick > now_; });
@@ -110,6 +107,9 @@ DramSystem::drainCompletions()
               [](const Completion &a, const Completion &b) {
                   return a.finishTick < b.finishTick;
               });
+    nextFinish_ = kInvalid;
+    for (const Completion &completion : pending_)
+        nextFinish_ = std::min(nextFinish_, completion.finishTick);
     return ready_;
 }
 

@@ -56,9 +56,6 @@ class DramSystem
   public:
     explicit DramSystem(const DramConfig &config);
 
-    /** True if the owning channel's queue can accept this request. */
-    bool canEnqueue(Addr addr, bool is_write) const;
-
     /**
      * Enqueue one 64B request. Tags identify completions for reads.
      * @return false when the channel queue is full.
@@ -127,6 +124,7 @@ class DramSystem
     Tick now_ = 0;
     std::vector<Completion> ready_;
     std::vector<Completion> pending_;
+    Tick nextFinish_ = kInvalid; ///< Earliest finish tick in pending_.
 };
 
 } // namespace palermo

@@ -134,7 +134,6 @@ TEST(Channel, BackpressureWhenFull)
     Tick now = 0;
     EXPECT_TRUE(channel.enqueue(at(0, 0, 1, 0), false, 1, now));
     EXPECT_TRUE(channel.enqueue(at(0, 0, 2, 0), false, 2, now));
-    EXPECT_FALSE(channel.canEnqueue(false));
     EXPECT_FALSE(channel.enqueue(at(0, 0, 3, 0), false, 3, now));
 }
 
