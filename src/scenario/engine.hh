@@ -48,6 +48,14 @@ struct ScenarioRunOptions
 {
     bool isolation = true; ///< Run per-tenant isolation baselines.
     bool security = true;  ///< Record the leaf trace, run the gates.
+    /**
+     * Arrivals each run issues at most (0 = bounded by the duration
+     * only). The open-loop schedule is cut to its first `budget`
+     * entries; closed-loop clients share what is left and stop
+     * re-issuing once it is spent. The session plans for exactly this
+     * many requests.
+     */
+    std::uint64_t arrivalBudget = 0;
 };
 
 /** One tenant's outcome in the shared run (plus its iso baseline). */
@@ -150,8 +158,9 @@ bool runScenario(const ScenarioSpec &spec,
 /**
  * Scenario-level sanity gate: per-tenant accounting closes (accepted ==
  * completed after the drain, tenant sums match the global scope),
- * quantiles are ordered, the stash behaved, and the security gates
- * hold when they ran. Appends one line per problem; true when clean.
+ * quantiles are ordered, the stash behaved (unless the point allows
+ * overflow), and the security gates hold when they ran. Appends one
+ * line per problem; true when clean.
  */
 bool scenarioSanityCheck(const ScenarioOutcome &outcome,
                          std::vector<std::string> *problems);

@@ -11,18 +11,11 @@
 
 #include "sim/json_value.hh"
 #include "sim/metrics_json.hh"
+#include "sim/sweep.hh"
 
 namespace palermo {
 
 namespace {
-
-bool
-fail(std::string *error, const std::string &message)
-{
-    if (error)
-        *error = message;
-    return false;
-}
 
 /** Largest double that still holds every integer exactly. */
 constexpr double kMaxExactInteger = 9007199254740992.0; // 2^53

@@ -16,14 +16,6 @@ namespace palermo {
 
 namespace {
 
-bool
-fail(std::string *error, const std::string &message)
-{
-    if (error)
-        *error = message;
-    return false;
-}
-
 void
 writeTenantBlock(JsonWriter &w, const TenantOutcome &tenant)
 {

@@ -1,65 +1,20 @@
 /**
  * @file
- * Load-generator option parsing, point expansion, the open/closed-loop
- * drivers, and the sweep document renderer.
+ * Load-generator option parsing, point expansion, the load-point to
+ * scenario mapping, and the sweep document renderer.
  */
 
 #include "service/loadgen.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <deque>
 #include <sstream>
 
 #include "common/log.hh"
-#include "common/rng.hh"
+#include "scenario/engine.hh"
 #include "sim/run_cli.hh"
 
 namespace palermo {
-
-namespace {
-
-bool
-fail(std::string *error, const std::string &message)
-{
-    if (error)
-        *error = message;
-    return false;
-}
-
-/** Strict finite double parse (whole string, no whitespace). */
-bool
-parseDoubleStrict(const std::string &text, double *value)
-{
-    if (text.empty())
-        return false;
-    const char *begin = text.data();
-    const char *end = begin + text.size();
-    double parsed = 0.0;
-    const auto result = std::from_chars(begin, end, parsed);
-    if (result.ec != std::errc() || result.ptr != end
-        || !std::isfinite(parsed))
-        return false;
-    *value = parsed;
-    return true;
-}
-
-/** Split "a,b,c" on commas (no empty fields allowed). */
-bool
-splitList(const std::string &text, std::vector<std::string> *fields)
-{
-    std::string field;
-    std::stringstream stream(text);
-    while (std::getline(stream, field, ',')) {
-        if (field.empty())
-            return false;
-        fields->push_back(field);
-    }
-    return !fields->empty() && text.back() != ',';
-}
-
-} // namespace
 
 bool
 parseLoadgenArgs(int argc, const char *const *argv,
@@ -76,8 +31,6 @@ parseLoadgenArgs(int argc, const char *const *argv,
             result.help = true;
         } else if (name == "--list-protocols") {
             result.listProtocols = true;
-        } else if (name == "--paper") {
-            result.paperGeometry = true;
         } else if (name == "--progress") {
             result.progress = true;
         } else if (name == "--protocol") {
@@ -126,21 +79,13 @@ parseLoadgenArgs(int argc, const char *const *argv,
         } else if (name == "--arrival") {
             if (!cursor.value(&value))
                 return fail(error, "--arrival needs poisson|fixed");
-            if (value == "poisson")
-                result.arrival = ArrivalProcess::Poisson;
-            else if (value == "fixed")
-                result.arrival = ArrivalProcess::Fixed;
-            else
+            if (!arrivalProcessFromName(value, &result.arrival))
                 return fail(error,
                             "unknown arrival process '" + value + "'");
         } else if (name == "--dist") {
             if (!cursor.value(&value))
                 return fail(error, "--dist needs zipf|uniform");
-            if (value == "zipf")
-                result.dist = KeyDist::Zipf;
-            else if (value == "uniform")
-                result.dist = KeyDist::Uniform;
-            else
+            if (!keyDistFromName(value, &result.dist))
                 return fail(error,
                             "unknown key distribution '" + value + "'");
         } else if (name == "--zipf-alpha") {
@@ -208,20 +153,6 @@ parseLoadgenArgs(int argc, const char *const *argv,
     return true;
 }
 
-SystemConfig
-LoadgenOptions::baseConfig() const
-{
-    SystemConfig config = paperGeometry ? SystemConfig::paperTableIII()
-                                        : SystemConfig::benchDefault();
-    if (blocks)
-        config.protocol.numBlocks = blocks;
-    if (seedSet) {
-        config.seed = seed;
-        config.protocol.seed = seed;
-    }
-    return config;
-}
-
 std::vector<LoadPointSpec>
 expandLoadPoints(const LoadgenOptions &options)
 {
@@ -252,48 +183,41 @@ expandLoadPoints(const LoadgenOptions &options)
 
 namespace {
 
-/** Bind the shared key sampler to a load point's options and seed. */
-TenantKeySampler
-keySourceFor(const LoadgenOptions &options, std::uint64_t slice_size,
-             std::uint64_t point_seed)
+/**
+ * The scenario a load point runs: `options.tenants` identical synthetic
+ * tenants. Open loop gives each R/T; closed loop splits N as evenly as
+ * possible (the first N mod T tenants hold one more; a share of 0
+ * keeps the tenant, and the slice geometry, but issues nothing).
+ */
+ScenarioSpec
+scenarioFor(const LoadgenOptions &options, const LoadPointSpec &point,
+            std::uint64_t warmup)
 {
-    return TenantKeySampler(options.dist, options.zipfAlpha,
-                            options.tenants, slice_size, point_seed);
-}
-
-/** One not-yet-accepted arrival held at the client (Block policy). */
-struct PendingArrival
-{
-    unsigned tenant;
-    std::uint64_t key;
-    bool write;
-    std::uint64_t value;
-    Tick arrival;
-};
-
-ServiceConfig
-serviceConfigFor(const LoadgenOptions &options,
-                 const LoadPointSpec &spec, std::uint64_t warmup,
-                 std::uint64_t planned)
-{
-    ServiceConfig config;
-    config.protocol = options.protocol;
-    config.system = options.baseConfig();
-    config.system.totalRequests = planned;
-    config.system.warmupFraction = planned
-        ? static_cast<double>(warmup) / static_cast<double>(planned)
-        : 0.0;
-    config.tenants = options.tenants;
-    config.queueCapacity = options.queueCapacity;
-    if (spec.closedLoop)
-        // A queue smaller than the concurrency would silently shed
-        // clients on the initial burst; closed loop never rejects.
-        config.queueCapacity = std::max<std::size_t>(
-            config.queueCapacity, spec.concurrency);
-    config.queuePolicy = options.queuePolicy;
-    config.sessionDepth = options.sessionDepth;
-    config.warmupCompletions = warmup;
-    return config;
+    ScenarioSpec spec;
+    spec.name = "loadgen";
+    spec.protocol = options.protocol;
+    spec.blocks = options.blocks;
+    spec.seed = options.seedSet ? options.seed
+                                : SystemConfig::benchDefault().seed;
+    spec.duration = options.duration ? options.duration : kTickNever;
+    spec.warmupCompletions = warmup;
+    spec.queueCapacity = options.queueCapacity;
+    spec.queuePolicy = options.queuePolicy;
+    spec.sessionDepth = options.sessionDepth;
+    for (unsigned i = 0; i < options.tenants; ++i) {
+        TenantSpec tenant;
+        tenant.name = "t" + std::to_string(i);
+        tenant.closedLoop = point.closedLoop;
+        tenant.process = options.arrival;
+        tenant.rate = point.rate / options.tenants;
+        tenant.concurrency = point.concurrency / options.tenants
+            + (i < point.concurrency % options.tenants ? 1 : 0);
+        tenant.dist = options.dist;
+        tenant.zipfAlpha = options.zipfAlpha;
+        tenant.writeFraction = options.writeFraction;
+        spec.tenants.push_back(tenant);
+    }
+    return spec;
 }
 
 std::string
@@ -321,137 +245,32 @@ workloadLabelFor(const LoadgenOptions &options)
     return label;
 }
 
-ServiceRunRecord
-condenseRecord(const LoadgenOptions &options, const LoadPointSpec &spec,
-               ObliviousKvService &service)
-{
-    ServiceRunRecord record;
-    record.spec = spec;
-    record.base.point.index = spec.index;
-    record.base.point.kind = options.protocol;
-    record.base.point.workload = Workload::Redis; // Label overrides.
-    record.base.point.workloadLabel = workloadLabelFor(options);
-    record.base.point.config = service.config().system;
-    record.base.point.id = pointId(options, spec);
-    record.base.metrics = service.simMetrics();
-    record.service = service.snapshot();
-    return record;
-}
-
-ServiceRunRecord
-runOpenLoop(const LoadgenOptions &options, const LoadPointSpec &spec)
-{
-    const auto warmup = static_cast<std::uint64_t>(
-        static_cast<double>(options.requests) * options.warmupFraction);
-    std::uint64_t planned = warmup + options.requests;
-    ObliviousKvService service(
-        serviceConfigFor(options, spec, warmup, planned));
-
-    const std::uint64_t point_seed =
-        mix64(service.config().system.seed ^ (0x6f70656eull + spec.index));
-    Rng rng(mix64(point_seed ^ 0x617272697665ull));
-    TenantKeySampler keys =
-        keySourceFor(options, service.tenants().sliceSize(), point_seed);
-
-    const double mean_gap = 1000.0 / spec.rate;
-    // Exact arrival instants accumulate in double so fixed-interval
-    // sweeps do not drift; ticks are the floor of the exact instant.
-    double next_exact = arrivalGap(options.arrival, mean_gap, rng);
-
-    std::uint64_t generated = 0;
-    std::deque<PendingArrival> blocked;
-    while (generated < planned || !blocked.empty()) {
-        if (!blocked.empty()) {
-            // Head-of-line arrival waiting out backpressure: retry
-            // every cycle; its latency clock started at its arrival.
-            const PendingArrival &head = blocked.front();
-            if (service.offer(head.tenant, head.key, head.write,
-                              head.value, head.arrival)
-                != Admission::WouldBlock)
-                blocked.pop_front();
-            else
-                service.step(1);
-            continue;
-        }
-        if (generated >= planned)
-            break;
-        const auto due = static_cast<Tick>(next_exact);
-        if (options.duration && due >= options.duration) {
-            planned = generated; // Duration cap: stop generating.
-            continue;
-        }
-        const Tick now = service.now();
-        if (now < due) {
-            service.step(due - now);
-            continue;
-        }
-        PendingArrival arrival;
-        arrival.tenant = static_cast<unsigned>(
-            rng.range(options.tenants));
-        arrival.key = keys.draw(arrival.tenant);
-        arrival.write = rng.chance(options.writeFraction);
-        arrival.value = generated;
-        arrival.arrival = due;
-        if (service.offer(arrival.tenant, arrival.key, arrival.write,
-                          arrival.value, arrival.arrival)
-            == Admission::WouldBlock)
-            blocked.push_back(arrival);
-        ++generated;
-        next_exact += arrivalGap(options.arrival, mean_gap, rng);
-    }
-    service.drainAll();
-    return condenseRecord(options, spec, service);
-}
-
-ServiceRunRecord
-runClosedLoop(const LoadgenOptions &options, const LoadPointSpec &spec)
-{
-    const auto warmup = static_cast<std::uint64_t>(
-        static_cast<double>(options.requests) * options.warmupFraction);
-    const std::uint64_t target = warmup + options.requests;
-    ObliviousKvService service(
-        serviceConfigFor(options, spec, warmup, target));
-
-    const std::uint64_t point_seed = mix64(
-        service.config().system.seed ^ (0x636c6f736564ull + spec.index));
-    Rng rng(mix64(point_seed ^ 0x617272697665ull));
-    TenantKeySampler keys =
-        keySourceFor(options, service.tenants().sliceSize(), point_seed);
-
-    std::uint64_t issued = 0;
-    const auto issue = [&](Tick arrival) {
-        const auto tenant =
-            static_cast<unsigned>(rng.range(options.tenants));
-        const Admission admission = service.offer(
-            tenant, keys.draw(tenant),
-            rng.chance(options.writeFraction), issued, arrival);
-        palermo_assert(admission == Admission::Accepted,
-                       "closed loop must never see backpressure");
-        ++issued;
-    };
-
-    // Think time zero: keep `concurrency` requests in the system until
-    // the completion target is met, then let the tail drain.
-    const std::uint64_t initial =
-        std::min<std::uint64_t>(spec.concurrency, target);
-    while (issued < initial)
-        issue(0);
-    while (service.completedTotal() < target) {
-        const std::uint64_t done = service.step(1);
-        for (std::uint64_t i = 0; i < done && issued < target; ++i)
-            issue(service.now());
-    }
-    service.drainAll();
-    return condenseRecord(options, spec, service);
-}
-
 } // namespace
 
 ServiceRunRecord
 runLoadPoint(const LoadgenOptions &options, const LoadPointSpec &spec)
 {
-    return spec.closedLoop ? runClosedLoop(options, spec)
-                           : runOpenLoop(options, spec);
+    const auto warmup = static_cast<std::uint64_t>(
+        static_cast<double>(options.requests) * options.warmupFraction);
+    ScenarioRunOptions run;
+    run.isolation = false;
+    run.security = false;
+    run.arrivalBudget = warmup + options.requests;
+
+    ScenarioOutcome outcome;
+    std::string error;
+    const bool ran = runScenario(scenarioFor(options, spec, warmup), run,
+                                 &outcome, &error);
+    palermo_assert(ran, "synthetic tenants read no trace file");
+
+    ServiceRunRecord record;
+    record.spec = spec;
+    record.base = std::move(outcome.base);
+    record.base.point.index = spec.index;
+    record.base.point.workloadLabel = workloadLabelFor(options);
+    record.base.point.id = pointId(options, spec);
+    record.service = std::move(outcome.service);
+    return record;
 }
 
 std::string
@@ -493,29 +312,26 @@ serviceSanityCheck(const std::vector<ServiceRunRecord> &records,
                    std::vector<std::string> *problems)
 {
     bool clean = true;
-    const auto report = [&](const std::string &message) {
-        clean = false;
-        if (problems)
-            problems->push_back(message);
-    };
     for (const ServiceRunRecord &record : records) {
-        const std::string &id = record.base.point.id;
-        const ServiceScopeSnapshot &global = record.service.global;
-        if (record.base.metrics.stashOverflowed
-            && !record.base.point.allowStashOverflow)
-            report(id + ": stash overflowed");
-        if (global.completed == 0)
-            report(id + ": no responses completed");
-        if (!std::isfinite(record.service.achievedPerKilocycle)
-            || record.service.achievedPerKilocycle <= 0.0)
-            report(id + ": degenerate achieved rate");
-        if (global.latency.quantile(0.99)
-            < global.latency.quantile(0.50))
-            report(id + ": latency quantiles out of order");
-        if (global.accepted != global.completed)
-            report(id + ": " + std::to_string(global.accepted)
-                   + " accepted but " + std::to_string(global.completed)
-                   + " completed (lost requests)");
+        ScenarioOutcome outcome;
+        outcome.base = record.base;
+        outcome.service = record.service;
+        for (std::size_t i = 0; i < record.service.perTenant.size(); ++i) {
+            TenantOutcome tenant;
+            tenant.name = "t" + std::to_string(i);
+            tenant.scope = record.service.perTenant[i];
+            outcome.tenants.push_back(std::move(tenant));
+        }
+        if (!scenarioSanityCheck(outcome, problems))
+            clean = false;
+
+        const double achieved = record.service.achievedPerKilocycle;
+        if (!std::isfinite(achieved) || achieved <= 0.0) {
+            clean = false;
+            if (problems)
+                problems->push_back(record.base.point.id
+                                    + ": degenerate achieved rate");
+        }
     }
     return clean;
 }
@@ -539,20 +355,22 @@ loadgenUsage()
           "(default: 4)\n"
        << "  --arrival NAME      poisson|fixed inter-arrival gaps\n"
        << "                      (open loop; default: poisson)\n"
-       << "  --requests N        measured completions per point "
+       << "  --requests N        measured arrivals per point "
           "(default: 2000)\n"
        << "  --warmup F          extra warmup requests as a fraction "
           "of\n"
        << "                      --requests (default: 0.5)\n"
-       << "  --duration N        stop generating open-loop arrivals "
-          "after\n"
-       << "                      N cycles (accepted work still "
-          "drains)\n"
+       << "  --duration N        stop generating arrivals after N "
+          "cycles\n"
+       << "                      (accepted work still drains)\n"
        << "\n"
        << "keys and tenants:\n"
-       << "  --tenants N         disjoint namespaces over the block "
-          "space\n"
-       << "                      (default: 1)\n"
+       << "  --tenants T         identical tenants on disjoint key "
+          "slices, each\n"
+       << "                      with its own streams: open loop runs "
+          "each at\n"
+       << "                      R/T, closed loop splits N over them "
+          "(default: 1)\n"
        << "  --dist NAME         zipf|uniform key popularity "
           "(default: zipf)\n"
        << "  --zipf-alpha A      Zipf skew (default: 0.99)\n"
@@ -573,7 +391,6 @@ loadgenUsage()
        << "simulator:\n"
        << "  --protocol NAME     ORAM design (default: palermo)\n"
        << "  --blocks N          protected 64B lines (default: 2^18)\n"
-       << "  --paper             Table III 16 GB geometry\n"
        << "  --seed N            determinism seed (default: 1)\n"
        << "\n"
        << "output:\n"

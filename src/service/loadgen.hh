@@ -1,22 +1,25 @@
 /**
  * @file
- * Open/closed-loop load generation against ObliviousKvService.
+ * palermo_loadgen: open/closed-loop saturation sweeps, as a front end
+ * over the scenario engine.
  *
- * The measurement half of the serving story: open-loop mode fires
- * arrivals at a configured rate (Poisson or fixed-interval, in
- * simulated time) whether or not the service keeps up — the only mode
- * that exposes saturation and tail-latency blow-up — while closed-loop
- * mode holds a fixed number of outstanding requests, the classic
- * "N clients, think time zero" discipline. A rate (or concurrency)
- * sweep emits one palermo-metrics-v1 record per design point, so a
- * throughput-vs-p99 saturation curve falls out of one invocation.
+ * Open-loop mode fires arrivals at a configured rate (Poisson or
+ * fixed-interval, in simulated time) whether or not the service keeps
+ * up — the only mode that exposes saturation and tail-latency blow-up
+ * — while closed-loop mode holds a fixed number of outstanding
+ * requests, the classic "N clients, think time zero" discipline. A
+ * rate (or concurrency) sweep emits one palermo-metrics-v1 record per
+ * design point, so a throughput-vs-p99 saturation curve falls out of
+ * one invocation.
  *
- * Everything is a deterministic function of the options: arrivals,
- * key draws, and tenant picks come from seeded RNGs, time is the
- * simulated clock, and records render byte-identically across repeat
- * runs. Kept in the library (not
- * tools/) so the flag parser and the point runner are unit-testable,
- * mirroring run_cli.
+ * Loadgen owns no drive loop. Each sweep point becomes a ScenarioSpec
+ * of `--tenants` identical synthetic tenants (open loop: each at R/T;
+ * closed loop: N split over them) and runs through runScenario with
+ * isolation and security off and an arrival budget of warmup +
+ * `--requests`. Every byte is therefore a deterministic function of
+ * the options, with the engine's per-tenant seeding. Kept in the
+ * library (not tools/) so the flag parser and the point runner are
+ * unit-testable, mirroring run_cli.
  */
 
 #ifndef PALERMO_SERVICE_LOADGEN_HH
@@ -36,7 +39,6 @@ namespace palermo {
 struct LoadgenOptions
 {
     ProtocolKind protocol = ProtocolKind::Palermo;
-    bool paperGeometry = false;    ///< --paper: Table III geometry.
     std::uint64_t blocks = 0;      ///< --blocks (0 = keep default).
     bool seedSet = false;
     std::uint64_t seed = 0;        ///< --seed (when seedSet).
@@ -54,7 +56,7 @@ struct LoadgenOptions
 
     std::uint64_t requests = 2000; ///< --requests: measured per point.
     double warmupFraction = 0.5;   ///< --warmup: extra, as a fraction.
-    std::uint64_t duration = 0;    ///< --duration: arrival cap, cycles.
+    std::uint64_t duration = 0;    ///< --duration (0 = unbounded).
 
     std::uint64_t queueCapacity = 64;              ///< --queue-capacity.
     QueuePolicy queuePolicy = QueuePolicy::Reject; ///< --queue-policy.
@@ -64,9 +66,6 @@ struct LoadgenOptions
     bool progress = false;         ///< --progress: wall-rate lines.
     bool listProtocols = false;    ///< --list-protocols (registry).
     bool help = false;             ///< --help / -h.
-
-    /** Resolve the base SystemConfig these options describe. */
-    SystemConfig baseConfig() const;
 };
 
 /** Parse palermo_loadgen argv (excluding argv[0]); see parseRunArgs. */
@@ -101,8 +100,9 @@ struct ServiceRunRecord
 std::vector<LoadPointSpec> expandLoadPoints(const LoadgenOptions &options);
 
 /**
- * Run one design point to completion: fresh service, warmup, measured
- * window, full drain. Deterministic in (options, spec).
+ * Run one design point to completion through runScenario: fresh
+ * service, warmup, measured window, full drain. Deterministic in
+ * (options, spec).
  */
 ServiceRunRecord runLoadPoint(const LoadgenOptions &options,
                               const LoadPointSpec &spec);
@@ -116,10 +116,10 @@ ServiceRunRecord runLoadPoint(const LoadgenOptions &options,
 std::string loadgenDocument(const std::vector<ServiceRunRecord> &records);
 
 /**
- * Serving-layer sanity gate: completions happened, achieved rate is
- * finite and positive, tail quantiles are ordered (p99 >= p50),
- * nothing was lost (accepted == completed after drain), and the stash
- * never overflowed. Appends one line per problem; true when clean.
+ * Serving-layer sanity gate: scenarioSanityCheck on each point (stash,
+ * completions, lost requests, quantile order, per-tenant accounting)
+ * plus a finite, positive achieved rate. Appends one line per problem;
+ * true when clean.
  */
 bool serviceSanityCheck(const std::vector<ServiceRunRecord> &records,
                         std::vector<std::string> *problems);

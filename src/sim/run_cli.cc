@@ -14,14 +14,6 @@ namespace palermo {
 
 namespace {
 
-bool
-fail(std::string *error, const std::string &message)
-{
-    if (error)
-        *error = message;
-    return false;
-}
-
 /**
  * palermo_replay flags that shape a single-trace session. A scenario
  * file carries its own protocol, geometry, seed and traffic.

@@ -6,6 +6,7 @@
 #include "sim/sweep.hh"
 
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <thread>
@@ -38,6 +39,8 @@ splitNonEmpty(const std::string &text, const char *delims)
     return pieces;
 }
 
+} // namespace
+
 bool
 fail(std::string *error, const std::string &message)
 {
@@ -45,8 +48,6 @@ fail(std::string *error, const std::string &message)
         *error = message;
     return false;
 }
-
-} // namespace
 
 bool
 parseUnsigned(const std::string &text, std::uint64_t *value)
@@ -64,6 +65,35 @@ parseUnsigned(const std::string &text, std::uint64_t *value)
     }
     *value = result;
     return true;
+}
+
+bool
+parseDoubleStrict(const std::string &text, double *value)
+{
+    if (text.empty())
+        return false;
+    const char *begin = text.data();
+    const char *end = begin + text.size();
+    double parsed = 0.0;
+    const auto result = std::from_chars(begin, end, parsed);
+    if (result.ec != std::errc() || result.ptr != end
+        || !std::isfinite(parsed))
+        return false;
+    *value = parsed;
+    return true;
+}
+
+bool
+splitList(const std::string &text, std::vector<std::string> *fields)
+{
+    std::string field;
+    std::stringstream stream(text);
+    while (std::getline(stream, field, ',')) {
+        if (field.empty())
+            return false;
+        fields->push_back(field);
+    }
+    return !fields->empty() && text.back() != ',';
 }
 
 bool

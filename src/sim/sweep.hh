@@ -127,10 +127,21 @@ class SweepRunner
 };
 
 /**
- * Strict base-10 unsigned parse (digits only, no sign/whitespace).
- * Shared by the sweep-spec and palermo_run flag parsers.
+ * Shared flag-parsing helpers of the sweep-spec, palermo_run,
+ * palermo_replay, palermo_loadgen and scenario parsers.
  */
+
+/** Store @p message in *error (when non-null); always returns false. */
+bool fail(std::string *error, const std::string &message);
+
+/** Strict base-10 unsigned parse (digits only, no sign/whitespace). */
 bool parseUnsigned(const std::string &text, std::uint64_t *value);
+
+/** Strict finite double parse (whole string, no whitespace). */
+bool parseDoubleStrict(const std::string &text, double *value);
+
+/** Split "a,b,c" on commas (no empty fields allowed). */
+bool splitList(const std::string &text, std::vector<std::string> *fields);
 
 /**
  * Post-run sanity gate: stash overflows and degenerate measurements.

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <ostream>
 #include <queue>
 #include <string>
 #include <utility>
@@ -299,6 +300,22 @@ struct Scenario
     std::uint64_t seed;
 };
 
+/** "reads_2x2_q8": the case name, also what gtest prints for the value. */
+std::string
+label(const Scenario &s)
+{
+    return std::string(s.name) + "_" + std::to_string(s.bankGroups) + "x"
+        + std::to_string(s.banksPerGroup) + "_q" + std::to_string(s.depth);
+}
+
+// Without this gtest prints the raw object bytes, which hold the name
+// pointer and struct padding, so listed test names change every run.
+void
+PrintTo(const Scenario &s, std::ostream *os)
+{
+    *os << label(s);
+}
+
 std::string
 describe(const Completion &c)
 {
@@ -478,10 +495,7 @@ scenarios()
 INSTANTIATE_TEST_SUITE_P(
     Lockstep, DramScheduler, ::testing::ValuesIn(scenarios()),
     [](const ::testing::TestParamInfo<Scenario> &info) {
-        const Scenario &s = info.param;
-        return std::string(s.name) + "_" + std::to_string(s.bankGroups)
-            + "x" + std::to_string(s.banksPerGroup) + "_q"
-            + std::to_string(s.depth);
+        return label(info.param);
     });
 
 } // namespace

@@ -213,8 +213,9 @@ TEST(ScenarioTest, MutationFuzzNeverCrashes)
             alphabet[rng.range(sizeof(alphabet) - 1)];
         ScenarioSpec out;
         std::string err;
-        if (!parseScenario(mutated, ".", &out, &err))
+        if (!parseScenario(mutated, ".", &out, &err)) {
             EXPECT_FALSE(err.empty());
+        }
     }
 }
 

@@ -77,9 +77,10 @@ expectGatesPass(ProtocolKind protocol)
         << security.chiSquare.threshold;
     EXPECT_LE(security.serialCorrelation, security.correlationBound());
     EXPECT_GE(security.serialCorrelation, -security.correlationBound());
-    if (security.miEvaluated)
+    if (security.miEvaluated) {
         EXPECT_LE(security.mutualInformationBits,
                   ScenarioSecurity::kMiBound);
+    }
     EXPECT_TRUE(security.pass());
 }
 

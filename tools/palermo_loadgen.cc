@@ -4,12 +4,12 @@
  * oblivious KV serving layer.
  *
  * Each design point (one --openloop rate or one --closedloop
- * concurrency) runs a fresh ObliviousKvService to completion and
- * prints one table row; --json renders the whole sweep as a
- * palermo-metrics-v1 document whose bytes are a deterministic
- * function of the flags (identical across repeat runs). A rate sweep
- * therefore yields a
- * throughput-vs-tail-latency saturation curve from one invocation.
+ * concurrency) runs as a scenario of identical tenants through the
+ * scenario engine and prints one table row; --json renders the whole
+ * sweep as a palermo-metrics-v1 document whose bytes are a
+ * deterministic function of the flags (identical across repeat runs).
+ * A rate sweep therefore yields a throughput-vs-tail-latency
+ * saturation curve from one invocation.
  *
  * Exit status: 0 on success, 1 on sanity-gate or I/O failure, 2 on
  * usage errors.
